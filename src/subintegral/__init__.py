@@ -15,7 +15,6 @@ from .arcs import (
     ProbeOutcome,
     Refutation,
     SubmodulePair,
-    TruncatedSeries,
     arc_pair_stream,
     basic_facts_check,
     delta_pair_of_ideal,
@@ -55,9 +54,6 @@ from .errors import (
 from .examples import ExamplesReport, run_worked_examples
 from .ideals import (
     MonomialIdeal,
-    colength,
-    colon,
-    ideal_power,
     minimal_generators,
     ord_in,
 )

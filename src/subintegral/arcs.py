@@ -90,71 +90,6 @@ class ArcPair:
         return {"first": self.first.to_strings(), "second": self.second.to_strings()}
 
 
-class TruncatedSeries:
-    """Exact power-series arithmetic truncated at a fixed order."""
-
-    __slots__ = ("coeffs", "order")
-
-    def __init__(self, coeffs: Sequence, order: int):
-        if order < 1:
-            raise ValueError("truncation order must be >= 1")
-        vals = [Fraction(c) for c in coeffs[:order]]
-        vals += [Fraction(0)] * (order - len(vals))
-        self.coeffs = tuple(vals)
-        self.order = order
-
-    @classmethod
-    def from_poly(cls, p: SparsePoly, order: int) -> "TruncatedSeries":
-        if p.nvars != 1:
-            raise ValueError("need a univariate polynomial")
-        coeffs = [Fraction(0)] * order
-        for (e,), c in p.items():
-            if e < order:
-                coeffs[e] = c
-        return cls(coeffs, order)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], order
-        )
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        out = [Fraction(0)] * order
-        for i, a in enumerate(self.coeffs[:order]):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs[: order - i]):
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out, order)
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        return TruncatedSeries((Fraction(0),) * k + self.coeffs, self.order)
-
-    def t_order(self) -> int | float:
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return math.inf
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-
 @dataclass(frozen=True)
 class SubmodulePair:
     """Inner and outer generating tuples of rank-r submodules M inside N."""
@@ -182,6 +117,19 @@ def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:
     """t-order of the pullback; math.inf when the pullback vanishes."""
     composed = pullback(f, arc)
     return math.inf if composed.is_zero else composed.min_degree()
+
+
+def _series_row(
+    tup: Sequence[SparsePoly], orders: Sequence[int], k: int = 0
+) -> Row:
+    """Echelon row of t^k * tup: slot s holds its pulled-back series mod
+    t^orders[s], keyed (s, degree)."""
+    row: Row = {}
+    for s, (p, order) in enumerate(zip(tup, orders)):
+        for (d,), c in p.items():
+            if d + k < order:
+                row[(s, d + k)] = c
+    return row
 
 
 def delta_pair_of_ideal(I: MonomialIdeal | PolyIdeal) -> SubmodulePair:
@@ -243,31 +191,18 @@ def relative_membership(
                     f"truncation {trunc} does not exceed outer generator order {order}"
                 )
 
-    def rows_of(tup: Tuple[SparsePoly, ...], shifts: range) -> Iterable[Row]:
-        series = [TruncatedSeries.from_poly(p, trunc) for p in tup]
-        for k in shifts:
-            row: Row = {}
-            for s, ser in enumerate(series):
-                for d, c in enumerate(ser.shift(k).coeffs):
-                    if c != 0:
-                        row[(s, d)] = c
-            if row:
-                yield row
-
+    orders = (trunc,) * pair.rank
     ech = Echelon()
-    for tup in pulled_inner:
-        for row in rows_of(tup, range(trunc)):
-            ech.add_row(row)
-    for tup in pulled_outer:
-        for row in rows_of(tup, range(1, trunc + 1)):
-            ech.add_row(row)
-
-    target_row: Row = {}
-    for s, p in enumerate(target):
-        for d, c in enumerate(TruncatedSeries.from_poly(p, trunc).coeffs):
-            if c != 0:
-                target_row[(s, d)] = c
-    return ech.contains(target_row)
+    for tups, shifts in (
+        (pulled_inner, range(trunc)),
+        (pulled_outer, range(1, trunc + 1)),
+    ):
+        for tup in tups:
+            for k in shifts:
+                row = _series_row(tup, orders, k)
+                if row:
+                    ech.add_row(row)
+    return ech.contains(_series_row(target, orders))
 
 
 # -- exact fast path for the ideal pair -------------------------------------------
@@ -287,17 +222,9 @@ def _ideal_arc_module(
     if e is math.inf or f is math.inf:
         return (e, f), None
     ech = Echelon()
-    for gp, dp in zip(gamma, delta):
-        s1 = TruncatedSeries.from_poly(gp, e + 1)
-        s2 = TruncatedSeries.from_poly(dp, f + 1)
+    for tup in zip(gamma, delta):
         for k in range(max(e, f) + 1):
-            row: Row = {}
-            for d, c in enumerate(s1.shift(k).coeffs):
-                if c != 0:
-                    row[(0, d)] = c
-            for d, c in enumerate(s2.shift(k).coeffs):
-                if c != 0:
-                    row[(1, d)] = c
+            row = _series_row(tup, (e + 1, f + 1), k)
             if row:
                 ech.add_row(row)
     return (e, f), ech
@@ -320,14 +247,7 @@ def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> boo
             v2.is_zero or v2.min_degree() >= f
         )
         return ok1 and ok2
-    target: Row = {}
-    for d, c in enumerate(TruncatedSeries.from_poly(v1, e + 1).coeffs):
-        if c != 0:
-            target[(0, d)] = c
-    for d, c in enumerate(TruncatedSeries.from_poly(v2, f + 1).coeffs):
-        if c != 0:
-            target[(1, d)] = c
-    return ech.contains(target)
+    return ech.contains(_series_row((v1, v2), (e + 1, f + 1)))
 
 
 # -- deterministic arc-pair sampling ----------------------------------------------

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
-from typing import List, Optional, Sequence, Tuple
+from math import comb
+from typing import List, Optional, Sequence
 
 from .poly import SparsePoly
 from .rrs import RRSSystem
@@ -118,52 +118,32 @@ def root_multiplicity(surface: MonicHypersurface, x: Sequence, t) -> int:
     return surface.degree  # monic: full multiplicity caps at the degree
 
 
-def _rational_roots(univ: List[Fraction]) -> List[Tuple[Fraction, int]]:
-    """All rational roots of a nonzero univariate polynomial with multiplicity,
-    via denominator clearing and the rational root theorem."""
-    coeffs = list(univ)
-    shift = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        shift += 1
-    lcm = 1
-    for c in coeffs:
-        if c.denominator != 1:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    roots: List[Tuple[Fraction, int]] = []
-    if shift:
-        roots.append((Fraction(0), shift))
-    if len(ints) <= 1:
-        return roots
-
-    def divisors(n: int) -> List[int]:
-        n = abs(n)
-        out = [d for d in range(1, n + 1) if n % d == 0]
-        return out
-
-    lead, const = ints[-1], ints[0]
-    seen = set()
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if sum(c * cand**j for j, c in enumerate(ints)) == 0:
-                    mult = 0
-                    cur = list(map(Fraction, ints))
-                    while cur and sum(c * cand**j for j, c in enumerate(cur)) == 0:
-                        mult += 1
-                        cur = [cur[j] * j for j in range(1, len(cur))]
-                    roots.append((cand, mult))
-    return sorted(roots)
+def _monic_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    """Monic gcd of two nonzero univariate polynomials (ascending coefficients)."""
+    while b:
+        a, b = b, list(a)
+        while len(b) >= len(a):  # b := b mod a
+            factor, shift = b[-1] / a[-1], len(b) - len(a)
+            for i, c in enumerate(a):
+                b[shift + i] -= factor * c
+            while b and b[-1] == 0:
+                b.pop()
+    return [c / a[-1] for c in a]
 
 
 def deep_roots(surface: MonicHypersurface, x: Sequence) -> List[Fraction]:
-    """Rational roots of F(x, T) of multiplicity at least floor(N/2) + 1."""
-    univ = surface.specialize(x)
-    return [r for r, m in _rational_roots(univ) if m >= surface.ell + 1]
+    """Roots of F(x, T) of multiplicity at least floor(N/2) + 1.
+
+    Such a root r is unique (two would need more than N roots), so
+    the monic G = gcd(F, F', ..., F^(ell)) is (T - r)^k and r = -g_(k-1) / k
+    is rational.
+    """
+    g = deriv = surface.specialize(x)
+    for _ in range(surface.ell):
+        deriv = [j * c for j, c in enumerate(deriv)][1:]
+        g = _monic_gcd(g, deriv)
+    k = len(g) - 1
+    return [-g[k - 1] / k] if k else []
 
 
 def unique_deep_root_check(

@@ -233,18 +233,6 @@ def minimal_generators(
     return MonomialIdeal(nvars, vectors)
 
 
-def ideal_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    return ideal.power(k)
-
-
-def colon(ideal: MonomialIdeal, other: MonomialIdeal) -> MonomialIdeal:
-    return ideal.colon(other)
-
-
-def colength(ideal: MonomialIdeal) -> int | float:
-    return ideal.colength()
-
-
 def max_power_membership(b: Exponent, gens: Sequence[Exponent], cap: int) -> int:
     """Largest n <= cap such that x^b lies in the n-th power of the ideal
     generated by `gens`: maximize k_1 + ... + k_g subject to

@@ -96,10 +96,6 @@ class Echelon:
         return all(other.contains(r) for r in self.rows())
 
 
-def row_space_equal(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> bool:
-    return Echelon(rows_a).same_space(Echelon(rows_b))
-
-
 def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> List[Row]:
     """Basis of the intersection of two row spaces (Zassenhaus block trick).
 

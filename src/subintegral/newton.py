@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from .errors import UnsupportedIdeal
 from .ideals import MonomialIdeal
-from .linalg import rank_of_vectors
+from .linalg import Echelon, rank_of_vectors, solve_sparse
 from .poly import Exponent, SparsePoly
 
 
@@ -79,12 +79,11 @@ def _dot(a: Sequence, b: Sequence) -> Fraction:
 
 def _initial_basis(constraints: List[Tuple[int, ...]], dim: int) -> List[int]:
     """Greedy choice of `dim` constraint indices with independent rows."""
+    ech = Echelon()
     chosen: List[int] = []
-    rows: List[Tuple[int, ...]] = []
     for i, c in enumerate(constraints):
-        if rank_of_vectors(rows + [c]) > len(rows):
+        if ech.add_row({k: Fraction(v) for k, v in enumerate(c) if v}):
             chosen.append(i)
-            rows.append(c)
             if len(chosen) == dim:
                 return chosen
     raise ValueError("constraint set is not full-dimensional")
@@ -92,18 +91,11 @@ def _initial_basis(constraints: List[Tuple[int, ...]], dim: int) -> List[int]:
 
 def _solve_unit(rows: List[Tuple[int, ...]], j: int) -> Tuple[Fraction, ...]:
     """Solve M a = e_j for the small dense invertible matrix with given rows."""
-    dim = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(1 if i == j else 0)] for i in range(dim)]
-    for col in range(dim):
-        pivot = next(r for r in range(col, dim) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(dim):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(aug[i][dim] for i in range(dim))
+    solution = solve_sparse(
+        [({k: Fraction(v) for k, v in enumerate(r) if v}, int(i == j))
+         for i, r in enumerate(rows)]
+    )
+    return tuple(solution[k] for k in range(len(rows)))
 
 
 def extreme_rays(constraints: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:

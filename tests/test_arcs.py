@@ -187,19 +187,6 @@ class TestRefuter:
         assert checked >= 5
 
 
-class TestTruncatedSeries:
-    def test_arithmetic(self):
-        from subintegral import TruncatedSeries
-
-        a = TruncatedSeries([1, 2, 0, 5], 4)
-        b = TruncatedSeries.from_poly(SparsePoly(1, {(1,): 1, (3,): -1}), 4)
-        assert (a + b).coeffs == (1, 3, 0, 4)
-        assert (a * b).coeffs == (0, 1, 2, -1)
-        assert b.shift(2).coeffs == (0, 0, 0, 1)
-        assert b.t_order() == 1
-        assert TruncatedSeries([0, 0], 2).t_order() == math.inf
-
-
 class TestSigma1:
     def test_below_the_facet(self):
         assert not sigma1_check(mono(1, 1), WEIGHTED)

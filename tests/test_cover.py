@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from subintegral import (
     MonicHypersurface,
     MonomialIdeal,
@@ -164,3 +166,88 @@ class TestUniqueDeepRoot:
         surface = from_rrs(construct_from_igt(h, I))
         points = [[Fraction(a, 2), Fraction(b, 3)] for a in range(-4, 5) for b in (-3, 1, 4)]
         assert graph_on_deep_locus(surface, h, points)
+
+
+class TestDeepRootRegressions:
+    """Inputs on which the former rational-root search did not finish: it
+    trial-divided by every divisor of the cleared constant term."""
+
+    def test_certificate_surface_at_small_base_point(self):
+        I = MonomialIdeal(2, [(2, 0), (1, 2), (0, 3)])
+        h = mono(2, 1)
+        system = construct_from_igt(h, I)
+        assert system.q == 2
+        point = [Fraction(1, 7), Fraction(2, 7)]
+        assert deep_roots(from_rrs(system), point) == [Fraction(2, 343)]
+        assert h.evaluate(point) == Fraction(2, 343)
+
+    def test_zz_check_of_boundary_element(self, capsys):
+        import json
+
+        from subintegral.cli import main
+
+        assert main(["--json", "-c", "ring QQ[x,y]; zz-check (x*y^2) in (x^2, y^3)"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["graph_on_deep_locus"] and result["unique_deep_root"]
+
+
+class TestDeepRootsAgainstSympy:
+    """deep_roots against the root multiplicities sympy computes for random
+    monic F(T) of odd and even degree."""
+
+    def check(self, expr):
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        poly = sympy.Poly(sympy.expand(expr), T)
+        coeffs = {
+            td: SparsePoly.constant(1, Fraction(int(c.p), int(c.q)))
+            for (td,), c in poly.terms()
+        }
+        surface = univariate_surface(coeffs)
+        want = sorted(
+            Fraction(int(r.p), int(r.q))
+            for r, m in sympy.roots(poly).items()
+            if m >= surface.ell + 1
+        )
+        assert deep_roots(surface, [0]) == want
+        return want
+
+    def random_monic(self, rng, T, degree):
+        return T**degree + sum(rng.randint(-3, 3) * T**j for j in range(degree))
+
+    def test_planted_deep_root(self):
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        rng = random.Random(5)
+        for degree in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+            for _ in range(3):
+                r = sympy.Rational(rng.randint(-9, 9), rng.randint(1, 9))
+                m = rng.randint(degree // 2 + 1, degree)
+                rest = self.random_monic(rng, T, degree - m)
+                assert self.check((T - r) ** m * rest) == [Fraction(int(r.p), int(r.q))]
+
+    def test_no_deep_root(self):
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        rng = random.Random(6)
+        for degree in (2, 3, 4, 5, 6, 7, 8, 9):
+            for _ in range(3):
+                # a double root plus a random cofactor: deep only by accident
+                self.check((T - rng.randint(-3, 3)) ** 2 * self.random_monic(rng, T, degree - 2))
+            # two roots of multiplicity floor(N/2): neither is deep
+            half = degree // 2
+            f = (T - 1) ** half * (T + sympy.Rational(1, 2)) ** half * T ** (degree % 2)
+            assert self.check(f) == []
+
+    def test_irrational_roots(self):
+        sympy = pytest.importorskip("sympy")
+        T = sympy.Symbol("T")
+        rng = random.Random(7)
+        for degree in (4, 5, 6, 7, 8, 9):
+            r = sympy.Rational(rng.randint(-5, 5), rng.randint(1, 4))
+            k = rng.randint(1, (degree - 1) // 2)
+            # the conjugate pair of a repeated quadratic factor is never deep
+            assert self.check((T**2 - 2) ** k * (T - r) ** (degree - 2 * k)) == (
+                [Fraction(int(r.p), int(r.q))] if degree - 2 * k > degree // 2 else []
+            )
+            assert self.check((T**2 - 3) ** (degree // 2) * T ** (degree % 2)) == []

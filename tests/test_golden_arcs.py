@@ -1,0 +1,72 @@
+"""Golden JSON reports of the arc refuter: relclose and classify programs.
+
+Each program runs through the CLI with `--json --seed 0 --budget 100`; its
+exit code and standard output must match `golden/arc_reports.json` byte for
+byte (witnesses, refutation indices and `budget_used` included).  Rewrite
+the file only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden_arcs.py --write
+"""
+
+import contextlib
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from subintegral.cli import main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden") / "arc_reports.json"
+ARGS = ["--json", "--seed", "0", "--budget", "100"]
+
+PROGRAMS = [
+    # two variables: refuted by the prefix, by a sampled pair, clean
+    "ring QQ[x,y]; relclose (x*y) in (x^2, y^2)",
+    "ring QQ[x,y]; relclose (x^2*y) in (x^4, y^3)",
+    "ring QQ[x,y]; relclose (x*y^2 - x*y + 1/2*y^2) in (x^2, y^3)",
+    "ring QQ[x,y]; relclose (x^2*y^2 + 3*x^3*y) in (x^4, x*y^2, y^5)",
+    "ring QQ[x,y]; relclose (x^5*y + x*y^4) in (x^6, x^2*y^2, y^5)",
+    # three variables
+    "ring QQ[x,y,z]; relclose (x*y*z) in (x^2, y^2, z^2)",
+    "ring QQ[x,y,z]; relclose (x*y - y*z + 2*x*z) in (x^2, y^2, z^2)",
+    "ring QQ[x,y,z]; relclose (y^2*z) in (x^2, x*y^2, y^4, z^3)",
+    "ring QQ[x,y,z]; relclose (-x^3*y^2*z + 2*x*y^2) in (x^3, x*y^2*z, y^4, z^3)",
+    "ring QQ[x,y,z]; relclose (x^2*y*z + x*y^2*z) in (x^3, y^2, z^3, x*y*z)",
+    # classify: refuted after the search, certified, via I_>
+    "ring QQ[x,y]; classify (x*y) in (x^2, y^2)",
+    "ring QQ[x,y]; classify (x^2*y) in (x^4, y^3)",
+    "ring QQ[x,y]; classify (x^2*y^2) in (x^4, x^3*y, y^4)",
+    "ring QQ[x,y,z]; classify (x*y*z - x^2*y) in (x^2, y^2, z^2)",
+    # two reports from one program
+    "ring QQ[x,y]; ideal I = (x^3, x*y, y^3); relclose (x^2 - y^2) in I; "
+    "classify (x^2 - y^2) in I",
+]
+
+
+def run_program(program):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(ARGS + ["-c", program])
+    return {"program": program, "exit_code": code, "stdout": out.getvalue()}
+
+
+def load_golden():
+    return {entry["program"]: entry for entry in json.loads(GOLDEN.read_text())}
+
+
+@pytest.mark.parametrize("program", PROGRAMS)
+def test_report_matches_golden(program):
+    assert run_program(program) == load_golden()[program]
+
+
+def test_golden_covers_every_program():
+    assert sorted(load_golden()) == sorted(PROGRAMS)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    entries = [run_program(p) for p in PROGRAMS]
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
