@@ -214,7 +214,9 @@ def _ideal_arc_module(
 ) -> Tuple[Tuple[int | float, int | float], Optional[Echelon]]:
     """Pullback orders (e, f) of I along the two arcs and, when both are
     finite, the echelon of the diagonal module image in the exact quotient
-    (series mod t^(e+1)) x (series mod t^(f+1))."""
+    (series mod t^(e+1)) x (series mod t^(f+1)).  That image is the span of
+    the leading-coefficient pairs (t^e, t^f) of the generators: a multiple
+    t^k with k >= 1 of any generator's pair vanishes in the quotient."""
     gamma = [pullback(g, arcs.first) for g in I.generator_polys()]
     delta = [pullback(g, arcs.second) for g in I.generator_polys()]
     e = min((p.min_degree() for p in gamma if not p.is_zero), default=math.inf)
@@ -223,10 +225,9 @@ def _ideal_arc_module(
         return (e, f), None
     ech = Echelon()
     for tup in zip(gamma, delta):
-        for k in range(max(e, f) + 1):
-            row = _series_row(tup, (e + 1, f + 1), k)
-            if row:
-                ech.add_row(row)
+        row = _series_row(tup, (e + 1, f + 1))
+        if row:
+            ech.add_row(row)
     return (e, f), ech
 
 

@@ -23,25 +23,29 @@ from .ideals import MonomialIdeal
 from .poly import SparsePoly
 from .reductions import PolyIdeal
 
+# Every command and the shape of its operands: I is a monomial ideal, J any
+# ideal, h a polynomial; a|b|c is a subcommand, [...] an optional trailing
+# part, and any other word a keyword.  The handlers live in cli.run, which
+# imports this module.
 COMMANDS = {
-    "newton",
-    "rees",
-    "iclose",
-    "igt",
-    "vbar",
-    "ord",
-    "colength",
-    "multiplicity",
-    "reduction",
-    "core",
-    "star-min-red",
-    "dim-igt",
-    "classify-reductions",
-    "rrs",
-    "zz-check",
-    "relclose",
-    "classify",
-    "examples",
+    "newton": "I",
+    "rees": "I",
+    "iclose": "I",
+    "igt": "I",
+    "vbar": "h in I",
+    "ord": "h in I",
+    "colength": "I",
+    "multiplicity": "I",
+    "reduction": "J in I",
+    "core": "I with I",
+    "star-min-red": "J in I [contains h]",
+    "dim-igt": "I",
+    "classify-reductions": "I",
+    "rrs": "certify|verify|search h in I",
+    "zz-check": "h in I",
+    "relclose": "h in I",
+    "classify": "h in I",
+    "examples": "",
 }
 
 
@@ -340,73 +344,36 @@ class _Parser:
     # -- commands -------------------------------------------------------------------
 
     def command(self, cmd: str) -> Request:
-        tok = self.tokens[self.pos - 1]
+        """Read the operands of cmd, slot by slot, from its shape."""
+        name = self.tokens[self.pos - 1]
         req = Request(command=cmd, ring=self.ring)
-        if cmd == "examples":
-            return req
-        self.require_ring()
-        if cmd in {"newton", "rees", "iclose", "igt", "colength", "multiplicity",
-                   "dim-igt", "classify-reductions"}:
-            operand = self.ideal_operand()
-            if not isinstance(operand, MonomialIdeal):
-                raise ParseError(
-                    f"{cmd} needs a monomial ideal", tok.line, tok.column
-                )
-            req.ideals.append(operand)
-            return req
-        if cmd in {"vbar", "ord", "relclose", "classify", "zz-check"}:
-            req.polys.append(self.poly_operand())
-            self.expect("in")
-            operand = self.ideal_operand()
-            if not isinstance(operand, MonomialIdeal):
-                raise ParseError(f"{cmd} needs a monomial ideal", tok.line, tok.column)
-            req.ideals.append(operand)
-            return req
-        if cmd == "rrs":
-            sub = self.next()
-            if sub.text not in {"certify", "verify", "search"}:
-                raise ParseError(
-                    "expected certify, verify, or search", sub.line, sub.column
-                )
-            req.subcommand = sub.text
-            req.polys.append(self.poly_operand())
-            self.expect("in")
-            operand = self.ideal_operand()
-            if not isinstance(operand, MonomialIdeal):
-                raise ParseError("rrs needs a monomial ideal", tok.line, tok.column)
-            req.ideals.append(operand)
-            return req
-        if cmd == "reduction":
-            req.ideals.append(self.ideal_operand())
-            self.expect("in")
-            inner = self.ideal_operand()
-            if not isinstance(inner, MonomialIdeal):
-                raise ParseError("reduction target must be monomial", tok.line, tok.column)
-            req.ideals.append(inner)
-            return req
-        if cmd == "core":
-            operand = self.ideal_operand()
-            if not isinstance(operand, MonomialIdeal):
-                raise ParseError("core needs a monomial ideal", tok.line, tok.column)
-            req.ideals.append(operand)
-            self.expect("with")
-            witness = self.ideal_operand()
-            if not isinstance(witness, MonomialIdeal):
-                raise ParseError("core reduction must be monomial", tok.line, tok.column)
-            req.ideals.append(witness)
-            return req
-        if cmd == "star-min-red":
-            req.ideals.append(self.ideal_operand())
-            self.expect("in")
-            inner = self.ideal_operand()
-            if not isinstance(inner, MonomialIdeal):
-                raise ParseError("the ambient ideal must be monomial", tok.line, tok.column)
-            req.ideals.append(inner)
-            if self.peek().text == "contains":
-                self.next()
+        shape = COMMANDS[cmd].split()
+        if shape:
+            self.require_ring()
+        for word in shape:
+            if word.startswith("["):
+                word = word[1:]
+                if self.peek().text != word:
+                    break
+            word = word.rstrip("]")
+            if word in {"I", "J"}:
+                ideal = self.ideal_operand()
+                if word == "I" and not isinstance(ideal, MonomialIdeal):
+                    raise ParseError(f"{cmd} needs a monomial ideal", name.line, name.column)
+                req.ideals.append(ideal)
+            elif word == "h":
                 req.polys.append(self.poly_operand())
-            return req
-        self.fail(f"unhandled command {cmd!r}")
+            elif "|" in word:
+                *others, last = choices = word.split("|")
+                sub = self.next()
+                if sub.text not in choices:
+                    raise ParseError(
+                        f"expected {', '.join(others)}, or {last}", sub.line, sub.column
+                    )
+                req.subcommand = sub.text
+            else:
+                self.expect(word)
+        return req
 
 
 def parse(text: str) -> List[Request]:

@@ -1,6 +1,7 @@
 """Command-language parsing, report generation, and CLI behavior."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -14,7 +15,9 @@ from subintegral import (
     run_worked_examples,
 )
 from subintegral.cli import Options, main, run
+from subintegral.parser import COMMANDS
 from subintegral.poly import SparsePoly
+from subintegral.reductions import PolyIdeal
 
 from oracles import random_monomial_ideal
 
@@ -92,6 +95,58 @@ class TestParser:
                 terms[exp] = rng.choice([1, -1, 2, -3, 5])
             p = SparsePoly(2, terms)
             assert parse_poly_text(p.to_string(names), names) == p
+
+
+RING = "ring QQ[x,y]; "
+
+# (program, line, column) of a parse error.  A polynomial ideal in a
+# monomial slot is reported at the command name's last token; a bad
+# subcommand, keyword or operand at its own token.
+PARSE_ERRORS = [
+    (RING + "dim-igt (x^2+y, y^2)", 1, 19),
+    (RING + "vbar (x*y) in (x^2 + y, y^2)", 1, 15),
+    (RING + "reduction (x^2, y^2) in (x^2 + y, y^2)", 1, 15),
+    (RING + "core (x^2 + y, y^2) with (x^2, y^2)", 1, 15),
+    (RING + "core (x^2, y^2) with (x^2 + y, y^2)", 1, 15),
+    (RING + "star-min-red (x^2, y^2) in (x^2 + y, y^2)", 1, 24),
+    (RING + "rrs certify (x*y) in (x^2 + y, y^2)", 1, 15),
+    (RING + "rrs prove (x*y) in (x^2, y^2)", 1, 19),
+    (RING + "vbar (x) (x^2)", 1, 24),
+    (RING + "core (x^2, y^2) (x^2, y^2)", 1, 31),
+    (RING + "star-min-red (x^2, y^3) in (x^2, x*y^2, y^3) contains", 1, 68),
+    (RING + "igt", 1, 18),
+    ("rrs certify (x) in (x)", 1, 5),
+    ("ring QQ[x,y]\n\nigt (x + y)\n", 3, 1),
+    ("ring QQ[x,y]\nideal I = (x + y)\n  colength I", 3, 3),
+]
+
+
+class TestCommandOperands:
+    @pytest.mark.parametrize("program, line, column", PARSE_ERRORS)
+    def test_parse_error_position(self, program, line, column):
+        with pytest.raises(ParseError) as info:
+            parse(program)
+        error = info.value
+        assert (error.code, error.line, error.column) == ("parse", line, column)
+
+    def test_star_min_red_contains_is_optional(self):
+        program = RING + "star-min-red (x^2, y^3) in (x^2, x*y^2, y^3)"
+        without, with_h = parse(program + "; " + program + " contains (x*y^2)")
+        assert without.polys == []
+        assert with_h.polys == [SparsePoly.monomial((1, 2))]
+        assert len(without.ideals) == len(with_h.ideals) == 2
+
+    def test_reduction_accepts_polynomial_j(self):
+        (req,) = parse(RING + "reduction (x^2 + x*y, y^2) in (x^2, x*y, y^2)")
+        J, I = req.ideals
+        assert isinstance(J, PolyIdeal)
+        assert I == MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
+
+    def test_readme_lists_every_command(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("### Commands", 1)[1].split("```")[1]
+        names = {line.split()[0] for line in block.splitlines() if line[:1].strip()}
+        assert names == set(COMMANDS)
 
 
 class TestRun:

@@ -1,9 +1,12 @@
-"""Golden JSON reports of the arc refuter: relclose and classify programs.
+"""Golden JSON reports of every CLI command.
 
-Each program runs through the CLI with `--json --seed 0 --budget 100`; its
-exit code and standard output must match `golden/arc_reports.json` byte for
-byte (witnesses, refutation indices and `budget_used` included).  Rewrite
-the file only for an intended change of output:
+The arc refuter's relclose and classify programs come first, then one or
+more programs for each other command, a program with declared operands and
+one library error.  Each program runs through the CLI with `--json --seed 0
+--budget 100`; its exit code and standard output must match
+`golden/arc_reports.json` byte for byte (witnesses, certificates, refutation
+indices and `budget_used` included).  Rewrite the file only for an intended
+change of output:
 
     PYTHONPATH=src python tests/test_golden_arcs.py --write
 """
@@ -42,6 +45,36 @@ PROGRAMS = [
     # two reports from one program
     "ring QQ[x,y]; ideal I = (x^3, x*y, y^3); relclose (x^2 - y^2) in I; "
     "classify (x^2 - y^2) in I",
+    # every other command
+    "ring QQ[x,y]; newton (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; rees (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; iclose (x^4, x*y^2, y^5)",
+    "ring QQ[x,y]; igt (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; vbar (x^2*y + x*y^3) in (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; ord (x^4*y^2) in (x^2, x*y, y^2)",
+    "ring QQ[x,y]; colength (x^3, x*y^2, y^4)",
+    "ring QQ[x,y,z]; multiplicity (x^2, y^3, z^2, x*y*z)",
+    # reduction: monomial J (Newton polyhedra), parameter J (multiplicity)
+    "ring QQ[x,y]; reduction (x^2, y^3) in (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; reduction (x^2 + x*y, y^2) in (x^2, x*y, y^2)",
+    "ring QQ[x,y]; core (x^2, x*y^2, y^3) with (x^2, y^3)",
+    "ring QQ[x,y]; star-min-red (x^2, y^3) in (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; star-min-red (x^3, y^3) in (x^3, x^2*y, x*y^2, y^3) "
+    "contains (x^2*y)",
+    "ring QQ[x,y]; dim-igt (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; classify-reductions (x^2, x*y, y^2)",
+    "ring QQ[x,y]; rrs certify (x^2*y) in (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; rrs verify (x^3*y^2) in (x^4, y^4)",
+    "ring QQ[x,y]; rrs search (x^2 + x*y^3) in (x^2, y^4)",
+    # zz-check: via I_> and via the bounded search
+    "ring QQ[x,y]; zz-check (x^2*y) in (x^2, x*y^2, y^3)",
+    "ring QQ[x,y]; zz-check (x^2 + x*y^3) in (x^2, y^4)",
+    "examples",
+    # declared operands
+    "ring QQ[x,y]; ideal I = (x^2, x*y^2, y^3); poly h = x^2*y - 3/2*x*y^2; "
+    "vbar h in I; igt I",
+    # a library error: Rees valuations need finite colength (exit 1)
+    "ring QQ[x,y]; rees (x^2)",
 ]
 
 
