@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TruncationTooSmall, UnsupportedIdeal
 from .ideals import MonomialIdeal
@@ -104,17 +105,64 @@ class SubmodulePair:
                 raise ValueError("generator tuple has the wrong rank")
 
 
-def pullback(f: SparsePoly, arc: LocalArc) -> SparsePoly:
-    """Exact composition f(arc(t)) as a univariate polynomial."""
+def _truncated_product(a: dict, b: dict, order: int | float) -> dict:
+    """Product of two series {degree: coefficient} with the terms of degree
+    >= order dropped."""
+    out: dict = {}
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
+            d = d1 + d2
+            if d < order:
+                out[d] = out.get(d, 0) + c1 * c2
+    return out
+
+
+def _component_series(arc: LocalArc) -> Tuple[List[dict], List[int | float]]:
+    """Each component as a series {degree: coefficient}, and its t-order
+    (math.inf for a zero component)."""
+    comps = [{d: c for (d,), c in comp.items()} for comp in arc.components]
+    return comps, [min(c, default=math.inf) for c in comps]
+
+
+def _monomial_order(exp: Sequence[int], orders: Sequence[int | float]) -> int | float:
+    """t-order sum(k_i * ord(arc_i)) of x^exp along the arc; exact, since the
+    leading coefficients multiply to a nonzero one.  A zero component makes
+    it math.inf."""
+    return sum(k * o for k, o in zip(exp, orders) if k)
+
+
+def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> SparsePoly:
+    """f(arc(t)) mod t^order as a univariate polynomial; the exact pullback
+    by default.  A monomial whose t-order reaches order is skipped without
+    being expanded; the others are expanded from powers of the components
+    truncated at order."""
     if f.nvars != arc.nvars:
         raise DimensionMismatch("polynomial and arc variable counts differ")
-    if f.is_zero:
-        return SparsePoly.zero(1)
-    return f.compose(list(arc.components))
+    comps, orders = _component_series(arc)
+    powers: List[List[dict]] = [[{0: 1}] for _ in comps]
+    total: dict = {}
+    for exp, coeff in f.items():
+        if _monomial_order(exp, orders) >= order:
+            continue
+        term = {0: coeff}
+        for i, k in enumerate(exp):
+            if k:
+                table = powers[i]
+                while len(table) <= k:
+                    table.append(_truncated_product(table[-1], comps[i], order))
+                term = _truncated_product(term, table[k], order)
+        for d, c in term.items():
+            total[d] = total.get(d, 0) + c
+    return SparsePoly(1, {(d,): c for d, c in total.items()})
 
 
 def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:
-    """t-order of the pullback; math.inf when the pullback vanishes."""
+    """t-order of the pullback; math.inf when the pullback vanishes.  A
+    monomial's order is read off the component orders; the terms of any
+    other f may cancel, so its exact pullback is taken."""
+    if f.is_monomial():
+        (exp, _), = f.items()
+        return _monomial_order(exp, _component_series(arc)[1])
     composed = pullback(f, arc)
     return math.inf if composed.is_zero else composed.min_degree()
 
@@ -217,15 +265,17 @@ def _ideal_arc_module(
     (series mod t^(e+1)) x (series mod t^(f+1)).  That image is the span of
     the leading-coefficient pairs (t^e, t^f) of the generators: a multiple
     t^k with k >= 1 of any generator's pair vanishes in the quotient."""
-    gamma = [pullback(g, arcs.first) for g in I.generator_polys()]
-    delta = [pullback(g, arcs.second) for g in I.generator_polys()]
-    e = min((p.min_degree() for p in gamma if not p.is_zero), default=math.inf)
-    f = min((p.min_degree() for p in delta if not p.is_zero), default=math.inf)
-    if e is math.inf or f is math.inf:
+    gens = I.generator_polys()
+    e = min((pullback_order(g, arcs.first) for g in gens), default=math.inf)
+    f = min((pullback_order(g, arcs.second) for g in gens), default=math.inf)
+    if math.inf in (e, f):
         return (e, f), None
     ech = Echelon()
-    for tup in zip(gamma, delta):
-        row = _series_row(tup, (e + 1, f + 1))
+    for g in gens:
+        row = _series_row(
+            (pullback(g, arcs.first, e + 1), pullback(g, arcs.second, f + 1)),
+            (e + 1, f + 1),
+        )
         if row:
             ech.add_row(row)
     return (e, f), ech
@@ -236,18 +286,14 @@ def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> boo
     one arc pair.  Equivalent to relative_membership on the ideal pair, but
     decided in the minimal exact quotient and cached per (I, arc pair)."""
     (e, f), ech = _ideal_arc_module(I, arcs)
-    v1 = pullback(h, arcs.first)
-    v2 = pullback(h, arcs.second)
     if ech is None:
         # A dead slot leaves no room at all: the target must vanish there,
         # and the live slot reduces to the valuative ideal-membership test.
-        ok1 = v1.is_zero if e is math.inf else (
-            v1.is_zero or v1.min_degree() >= e
+        return (
+            pullback(h, arcs.first, e).is_zero and pullback(h, arcs.second, f).is_zero
         )
-        ok2 = v2.is_zero if f is math.inf else (
-            v2.is_zero or v2.min_degree() >= f
-        )
-        return ok1 and ok2
+    v1 = pullback(h, arcs.first, e + 1)
+    v2 = pullback(h, arcs.second, f + 1)
     return ech.contains(_series_row((v1, v2), (e + 1, f + 1)))
 
 
@@ -332,6 +378,37 @@ def arc_pair_stream(nvars: int, sampler: ArcSampler) -> Iterable[ArcPair]:
         yield ArcPair(first, second)
 
 
+class _DrawnOnce:
+    """The pairs of one arc_pair_stream, drawn on demand and kept.  Every
+    iteration starts at pair 0 and the stream is drawn no further than its
+    furthest reader went.  Pairs are drawn and read under the lock, so
+    readers in several threads see the same pairs."""
+
+    def __init__(self, stream: Iterable[ArcPair]):
+        self._source = iter(stream)
+        self._drawn: List[ArcPair] = []
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[ArcPair]:
+        index = 0
+        while True:
+            with self._lock:
+                if index == len(self._drawn):
+                    pair = next(self._source, None)
+                    if pair is None:
+                        return
+                    self._drawn.append(pair)
+                pair = self._drawn[index]
+            yield pair
+            index += 1
+
+
+@lru_cache(maxsize=8)
+def _shared_stream(nvars: int, sampler: ArcSampler) -> _DrawnOnce:
+    """One arc_pair_stream(nvars, sampler) shared by every query on it."""
+    return _DrawnOnce(arc_pair_stream(nvars, sampler))
+
+
 @dataclass(frozen=True)
 class Refutation:
     """A failing arc pair: a certificate of non-membership in the weak
@@ -349,7 +426,7 @@ def refute_star_membership(
     (inconclusive)."""
     if I.is_zero or not I.finite_colength:
         raise UnsupportedIdeal("refutation needs a finite-colength ideal")
-    for index, arcs in enumerate(arc_pair_stream(I.nvars, sampler or ArcSampler())):
+    for index, arcs in enumerate(_shared_stream(I.nvars, sampler or ArcSampler())):
         if not ideal_pair_membership(h, I, arcs):
             return Refutation(pair=arcs, index=index)
     return None
@@ -384,7 +461,7 @@ def basic_facts_check(
             (p.nvars for tup in pair.inner + pair.outer for p in tup),
             probes[0][0].nvars if probes else 1,
         )
-        battery = list(arc_pair_stream(nvars, ArcSampler(seed=0, count=40)))
+        battery = list(_shared_stream(nvars, ArcSampler(seed=0, count=40)))
     else:
         battery = list(arc_pairs)
     outcomes: List[ProbeOutcome] = []

@@ -345,7 +345,6 @@ class _Parser:
 
     def command(self, cmd: str) -> Request:
         """Read the operands of cmd, slot by slot, from its shape."""
-        name = self.tokens[self.pos - 1]
         req = Request(command=cmd, ring=self.ring)
         shape = COMMANDS[cmd].split()
         if shape:
@@ -357,9 +356,10 @@ class _Parser:
                     break
             word = word.rstrip("]")
             if word in {"I", "J"}:
+                start = self.peek()
                 ideal = self.ideal_operand()
                 if word == "I" and not isinstance(ideal, MonomialIdeal):
-                    raise ParseError(f"{cmd} needs a monomial ideal", name.line, name.column)
+                    raise ParseError(f"{cmd} needs a monomial ideal", start.line, start.column)
                 req.ideals.append(ideal)
             elif word == "h":
                 req.polys.append(self.poly_operand())

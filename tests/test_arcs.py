@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -25,6 +28,7 @@ from subintegral import (
     relative_membership,
     sigma1_check,
 )
+from subintegral.arcs import _ideal_arc_module, _shared_stream
 from subintegral.poly import SparsePoly
 
 from oracles import random_igt_element, random_monomial, random_monomial_ideal
@@ -150,6 +154,29 @@ class TestRelativeMembership:
                 assert ideal_pair_membership(h, I, arcs)
 
 
+class TestDeadSlot:
+    # I = (x^2, xy) has infinite colength: along x -> 0, y -> t every
+    # generator pulls back to 0 (e = inf) although the arc is not zero, so
+    # the dead slot must test h's exact pullback, not a truncation of it.
+    I = ideal((2, 0), (1, 1))
+    FIRST = arc({}, {1: 1})
+
+    def test_first_slot_is_dead(self):
+        assert all(pullback_order(g, self.FIRST) == math.inf for g in self.I.generator_polys())
+
+    @pytest.mark.parametrize(
+        "h, expected",
+        [(mono(0, 3), False), (mono(1, 5), True), (SparsePoly.constant(2, 1), False)],
+    )
+    @pytest.mark.parametrize(
+        "second", [T_T, T_MINUS_T, LocalArc.zero(2), arc({1: 1, 2: 1}, {2: -1})]
+    )
+    def test_matches_general_path(self, h, expected, second):
+        arcs = ArcPair(self.FIRST, second)
+        assert ideal_pair_membership(h, self.I, arcs) == expected
+        assert relative_membership((h, h), delta_pair_of_ideal(self.I), arcs) == expected
+
+
 class TestRefuter:
     def test_witness_for_mixed_monomial(self):
         refutation = refute_star_membership(mono(1, 1), CORNER)
@@ -185,6 +212,60 @@ class TestRefuter:
             checked += 1
             assert bounded_search(h, I, q_max=2) is None
         assert checked >= 5
+
+    def test_stream_never_composes(self, monkeypatch):
+        # The refuter pulls back through truncated power tables only; a call
+        # to the full composition would mean an untruncated hot path.
+        def composed(*args):
+            raise AssertionError("SparsePoly.compose on the refuter path")
+
+        monkeypatch.setattr(SparsePoly, "compose", composed)
+        sampler = ArcSampler(seed=2, count=100)
+        for I, h, outside in [
+            (CORNER, mono(2, 0) - 3 * mono(1, 2) + mono(0, 5), mono(1, 1)),
+            (
+                ideal((2, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1)),
+                mono(1, 1, 1) - mono(0, 3, 1) + 2 * mono(4, 0, 0),
+                mono(1, 0, 1),
+            ),
+        ]:
+            pairs = list(arc_pair_stream(I.nvars, sampler))
+            comps = [c for pair in pairs for a in pair for c in a]
+            assert any(a == LocalArc.zero(I.nvars) for pair in pairs for a in pair)
+            assert any(c.is_zero for c in comps) and any(c.num_terms() == 2 for c in comps)
+            _ideal_arc_module.cache_clear()
+            assert refute_star_membership(h, I, sampler) is None
+            assert refute_star_membership(outside, I, sampler) is not None
+
+    def test_threads_share_one_stream(self):
+        # Queries on one sampler read one shared stream; readers in several
+        # threads that draw it at once must each see arc_pair_stream's pairs.
+        sampler = ArcSampler(seed=11, count=300)
+        expected = list(arc_pair_stream(3, sampler))
+        I = ideal((2, 0, 0), (0, 2, 0), (0, 0, 2))
+        start = threading.Barrier(4)
+
+        def refute():
+            start.wait()
+            return refute_star_membership(mono(2, 1, 0), I, sampler)
+
+        def read():
+            start.wait()
+            return list(_shared_stream(3, sampler))
+
+        _shared_stream.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(fn) for fn in (refute, refute, read, read)]
+                results = [f.result() for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [None, None, expected, expected]
+        refutation = refute_star_membership(mono(1, 1, 0), I, sampler)
+        assert refutation.pair == expected[refutation.index]
+        assert all(ideal_pair_membership(mono(1, 1, 0), I, p) for p in expected[: refutation.index])
 
 
 class TestSigma1:

@@ -1,7 +1,9 @@
-"""Property test: the cached fast path for the ideal pair agrees with the
-general truncated test on delta_pair_of_ideal, for multi-term elements whose
-terms cancel along the arcs and for arbitrary arc pairs."""
+"""Property tests: the truncated pullback agrees with SparsePoly.compose
+cut at the same order, and the cached fast path for the ideal pair agrees
+with the general truncated test on delta_pair_of_ideal, for multi-term
+elements whose terms cancel along the arcs and for arbitrary arc pairs."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,8 @@ from subintegral import (
     MonomialIdeal,
     delta_pair_of_ideal,
     ideal_pair_membership,
+    pullback,
+    pullback_order,
     relative_membership,
 )
 from subintegral.poly import SparsePoly
@@ -39,6 +43,41 @@ def components(draw):
 
 
 @st.composite
+def polys(draw, n, min_size=1, max_size=5):
+    """A sum of terms, which may cancel in the sum or along an arc."""
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    terms = draw(
+        st.lists(
+            st.tuples(exponent, st.sampled_from(COEFFS)),
+            min_size=min_size,
+            max_size=max_size,
+        )
+    )
+    f = SparsePoly.zero(n)
+    for e, c in terms:
+        f = f + SparsePoly.monomial(e, c)
+    return f
+
+
+@st.composite
+def pullback_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    arc = LocalArc(tuple(draw(components()) for _ in range(n)))
+    return draw(polys(n)), arc, draw(st.sampled_from([*range(9), math.inf]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(pullback_cases())
+def test_truncated_pullback_matches_compose(case):
+    f, arc, order = case
+    full = f.compose(list(arc.components))
+    assert pullback(f, arc, order) == SparsePoly(
+        1, {e: c for e, c in full.items() if e[0] < order}
+    )
+    assert pullback_order(f, arc) == (math.inf if full.is_zero else full.min_degree())
+
+
+@st.composite
 def cases(draw):
     n = draw(st.sampled_from([2, 3]))
     exponent = st.tuples(*[st.integers(0, 3)] * n)
@@ -47,12 +86,7 @@ def cases(draw):
         gens += [tuple(a if j == i else 0 for j in range(n))
                  for i, a in enumerate(draw(st.tuples(*[st.integers(1, 4)] * n)))]
     I = MonomialIdeal(n, gens)
-    terms = draw(
-        st.lists(st.tuples(exponent, st.sampled_from(COEFFS)), min_size=2, max_size=4)
-    )
-    h = SparsePoly.zero(n)
-    for e, c in terms:
-        h = h + SparsePoly.monomial(e, c)
+    h = draw(polys(n, min_size=2, max_size=4))
     arcs = ArcPair(
         LocalArc(tuple(draw(components()) for _ in range(n))),
         LocalArc(tuple(draw(components()) for _ in range(n))),

@@ -99,25 +99,25 @@ class TestParser:
 
 RING = "ring QQ[x,y]; "
 
-# (program, line, column) of a parse error.  A polynomial ideal in a
-# monomial slot is reported at the command name's last token; a bad
-# subcommand, keyword or operand at its own token.
+# (program, line, column) of a parse error, reported at the offending
+# token: a polynomial ideal in a monomial slot at the operand's first token,
+# a bad subcommand, keyword or operand at its own token.
 PARSE_ERRORS = [
-    (RING + "dim-igt (x^2+y, y^2)", 1, 19),
-    (RING + "vbar (x*y) in (x^2 + y, y^2)", 1, 15),
-    (RING + "reduction (x^2, y^2) in (x^2 + y, y^2)", 1, 15),
-    (RING + "core (x^2 + y, y^2) with (x^2, y^2)", 1, 15),
-    (RING + "core (x^2, y^2) with (x^2 + y, y^2)", 1, 15),
-    (RING + "star-min-red (x^2, y^2) in (x^2 + y, y^2)", 1, 24),
-    (RING + "rrs certify (x*y) in (x^2 + y, y^2)", 1, 15),
+    (RING + "dim-igt (x^2+y, y^2)", 1, 23),
+    (RING + "vbar (x*y) in (x^2 + y, y^2)", 1, 29),
+    (RING + "reduction (x^2, y^2) in (x^2 + y, y^2)", 1, 39),
+    (RING + "core (x^2 + y, y^2) with (x^2, y^2)", 1, 20),
+    (RING + "core (x^2, y^2) with (x^2 + y, y^2)", 1, 36),
+    (RING + "star-min-red (x^2, y^2) in (x^2 + y, y^2)", 1, 42),
+    (RING + "rrs certify (x*y) in (x^2 + y, y^2)", 1, 36),
     (RING + "rrs prove (x*y) in (x^2, y^2)", 1, 19),
     (RING + "vbar (x) (x^2)", 1, 24),
     (RING + "core (x^2, y^2) (x^2, y^2)", 1, 31),
     (RING + "star-min-red (x^2, y^3) in (x^2, x*y^2, y^3) contains", 1, 68),
     (RING + "igt", 1, 18),
     ("rrs certify (x) in (x)", 1, 5),
-    ("ring QQ[x,y]\n\nigt (x + y)\n", 3, 1),
-    ("ring QQ[x,y]\nideal I = (x + y)\n  colength I", 3, 3),
+    ("ring QQ[x,y]\n\nigt (x + y)\n", 3, 5),
+    ("ring QQ[x,y]\nideal I = (x + y)\n  colength I", 3, 12),
 ]
 
 
