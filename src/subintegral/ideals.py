@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .poly import Exponent, SparsePoly, monomial_string
@@ -23,13 +23,44 @@ def _dominates(a: Exponent, b: Exponent) -> bool:
 
 
 def _antichain(exponents: Iterable[Exponent]) -> Tuple[Exponent, ...]:
-    # Ascending total degree: a dominating generator always comes earlier.
-    ordered = sorted(set(exponents), key=lambda e: (sum(e), e))
+    ordered = sorted(set(exponents))
     kept: list[Exponent] = []
+    if ordered and len(ordered[0]) == 2:
+        # In lex order e is dominated exactly when an earlier e_2 is <= e_2.
+        for e in ordered:
+            if not kept or e[1] < kept[-1][1]:
+                kept.append(e)
+        return tuple(kept)
+    # Ascending total degree: a dominating generator always comes earlier.
+    ordered.sort(key=sum)
     for e in ordered:
         if not any(_dominates(e, k) for k in kept):
             kept.append(e)
     return tuple(sorted(kept))
+
+
+def staircase_walk(
+    bounds: Sequence[int], least: Callable[[Exponent], int]
+) -> Iterator[Tuple[Exponent, int]]:
+    """Pair each prefix p of the box range(b_1) x ... x range(b_{n-1}) with
+    least(p), the least last exponent of the up-set above p, lazily and in
+    lex order."""
+    for p in product(*(range(b) for b in bounds)):
+        yield p, least(p)
+
+
+def staircase_corners(
+    bounds: Sequence[int], least: Callable[[Exponent], int]
+) -> Iterator[Exponent]:
+    """Minimal generators of the up-set {(p, k) : k >= least(p)}, for a
+    non-increasing least whose generator prefixes lie in the box.
+
+    (p, least(p)) is minimal exactly when least drops at p along every axis
+    that p uses: least(p - e_i) > least(p) whenever p_i > 0.
+    """
+    for p, k in staircase_walk(bounds, least):
+        if all(least(p[:i] + (c - 1,) + p[i + 1:]) > k for i, c in enumerate(p) if c):
+            yield p + (k,)
 
 
 class MonomialIdeal:
@@ -175,15 +206,22 @@ class MonomialIdeal:
         return all(k is not None for k in self.axis_degrees())
 
     def colength(self) -> int | float:
-        """Number of standard monomials; math.inf when infinite."""
+        """Number of standard monomials; math.inf when infinite.
+
+        Each prefix p of the first n - 1 exponents below the axis degrees
+        has as many standard monomials above it as the least last exponent
+        of a generator g with g' <= p.
+        """
         if self.is_zero or not self.finite_colength:
             return math.inf
-        bounds = [int(k) for k in self.axis_degrees()]
-        count = 0
-        for e in product(*(range(b) for b in bounds)):
-            if not self.contains_exponent(e):
-                count += 1
-        return count
+        if self.is_unit:
+            return 0
+
+        def least(p: Exponent) -> int:
+            # zip stops after p's n - 1 entries: this tests g' <= p.
+            return min(g[-1] for g in self.gens if _dominates(p, g))
+
+        return sum(k for _, k in staircase_walk(self.axis_degrees()[:-1], least))
 
     def generator_polys(self) -> list[SparsePoly]:
         return [SparsePoly.monomial(g) for g in self.gens]

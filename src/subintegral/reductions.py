@@ -23,7 +23,7 @@ from itertools import product
 from math import factorial
 from typing import Iterable, List, Optional, Tuple
 
-from .closure import i_greater, integral_closure
+from .closure import facet_staircase, i_greater, integral_closure
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -31,7 +31,7 @@ from .errors import (
     TruncationTooSmall,
     UnsupportedIdeal,
 )
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, staircase_walk
 from .linalg import Echelon, Row, intersect_row_spaces
 from .newton import newton_polyhedron
 from .poly import Exponent, SparsePoly
@@ -259,17 +259,11 @@ def core_via_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def igt_truncation_order(I: MonomialIdeal) -> int:
-    """Least N with m^N inside i_greater(I)."""
-    igt = i_greater(I)
-    bound = sum(int(k) + 2 for k in I.axis_degrees())
-    for order in range(1, bound + 1):
-        if all(
-            igt.contains_exponent(e)
-            for e in product(*(range(order + 1) for _ in range(I.nvars)))
-            if sum(e) == order
-        ):
-            return order
-    raise AssertionError("no truncation order found below the staircase bound")
+    """Least N with m^N inside i_greater(I): one more than the largest
+    degree |p| + least(p) - 1 of a monomial below the i_greater staircase."""
+    return max(
+        (sum(p) + k for p, k in staircase_walk(*facet_staircase(I, 1)) if k), default=1
+    )
 
 
 @dataclass(frozen=True)

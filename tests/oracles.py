@@ -3,16 +3,19 @@
 Each oracle recomputes a quantity by a different algorithm than the library
 path it checks: bounded facets by a 2D hull sweep instead of double
 description, integral-closure membership by brute-force Minkowski sums
-instead of facet inequalities, and ideal orders by explicit power chains
-instead of branch-and-bound.
+instead of facet inequalities, the integral closure, i_greater, their
+truncation order and the colength by testing every point of the
+axis-degree box instead of walking the staircase, and ideal orders by
+explicit power chains instead of branch-and-bound.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import gcd
 
-from subintegral import MonomialIdeal
+from subintegral import MonomialIdeal, rees_valuations
 from subintegral.poly import SparsePoly
 
 
@@ -104,6 +107,46 @@ def _rank3(vectors):
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def _divides(g, e):
+    return all(a <= b for a, b in zip(g, e))
+
+
+def scan_box(ideal, slack):
+    """The integral closure (slack 0) or i_greater (slack 1) of a
+    finite-colength ideal, by testing every point of the box 0 <= e_i <=
+    a_i + slack against v(e) >= v(I) + slack for every Rees valuation v."""
+    vals = rees_valuations(ideal)
+    bounds = [k + slack for k in ideal.axis_degrees()]
+    hits = [
+        e
+        for e in product(*(range(b + 1) for b in bounds))
+        if all(v.value_of_exponent(e) >= v.value_on_ideal + slack for v in vals)
+    ]
+    return MonomialIdeal(ideal.nvars, hits)
+
+
+def truncation_order_by_degree(ideal):
+    """Least N with every monomial of degree N in i_greater(ideal), found
+    degree by degree on the box-scanned i_greater."""
+    igt = scan_box(ideal, 1)
+    for order in range(1, sum(k + 2 for k in ideal.axis_degrees()) + 1):
+        if all(
+            any(_divides(g, p + (order - sum(p),)) for g in igt.gens)
+            for p in product(*(range(order + 1) for _ in range(ideal.nvars - 1)))
+            if sum(p) <= order
+        ):
+            return order
+    raise AssertionError("no truncation order below the staircase bound")
+
+
+def colength_by_box_count(ideal):
+    """Number of points of the axis-degree box that no generator divides."""
+    return sum(
+        not any(_divides(g, e) for g in ideal.gens)
+        for e in product(*(range(k) for k in ideal.axis_degrees()))
+    )
 
 
 def closure_member_minkowski(exponent, gens, m_max=24):

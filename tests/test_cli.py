@@ -16,10 +16,10 @@ from subintegral import (
 )
 from subintegral.cli import Options, main, run
 from subintegral.parser import COMMANDS
-from subintegral.poly import SparsePoly
+from subintegral.poly import SparsePoly, monomial_string
 from subintegral.reductions import PolyIdeal
 
-from oracles import random_monomial_ideal
+from oracles import bounded_facets_2d_sweep, random_monomial_ideal
 
 
 class TestParser:
@@ -236,6 +236,29 @@ class TestMainEntry:
         assert main(["--json", "-c", "ring QQ[x,y]; rees (x^2)"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["code"] == "unsupported-input"
+
+    def test_large_axis_degrees(self, capsys):
+        """iclose and igt of (x^1000, x*y, y^1000) against the staircase of
+        the hull sweep's facets: per x-exponent i the least y-exponent j with
+        <w, (i, j)> >= v + slack on every facet, kept where it drops."""
+        gens = [(1000, 0), (1, 1), (0, 1000)]
+        facets = bounded_facets_2d_sweep(gens)
+
+        def staircase(slack):
+            corners, prev = [], None
+            for i in range(1000 + slack + 1):
+                j = max(0, *(-((w[0] * i - v - slack) // w[1]) for w, v in facets))
+                if prev is None or j < prev:
+                    corners.append((i, j))
+                prev = j
+            return [monomial_string(g, ("x", "y")) for g in sorted(corners, reverse=True)]
+
+        program = "ring QQ[x,y]; ideal I = (x^1000, x*y, y^1000); iclose I; igt I"
+        assert main(["--json", "-c", program]) == 0
+        iclose, igt = json.loads(capsys.readouterr().out)
+        assert iclose["result"]["generators"] == ["x^1000", "x*y", "y^1000"]
+        assert iclose["result"]["generators"] == staircase(0)
+        assert igt["result"]["generators"] == staircase(1)
 
     def test_file_input(self, tmp_path, capsys):
         script = tmp_path / "program.txt"

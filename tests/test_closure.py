@@ -20,6 +20,8 @@ from subintegral import (
 )
 from subintegral.poly import SparsePoly
 
+from subintegral.reductions import igt_truncation_order
+
 from oracles import random_monomial, random_monomial_ideal
 
 
@@ -123,6 +125,33 @@ class TestIGreater:
             J = MonomialIdeal(2, newton_polyhedron(I).vertices)
             assert integral_closure(J) == integral_closure(I)
             assert i_greater(J) == i_greater(I)
+
+
+class TestStaircaseWalk:
+    @pytest.mark.parametrize(
+        "I",
+        [
+            ideal((9, 0), (4, 2), (1, 5), (0, 7)),
+            ideal((6, 0, 0), (0, 5, 0), (0, 0, 4), (1, 1, 1)),
+        ],
+        ids=["2 variables", "3 variables"],
+    )
+    def test_no_point_membership_tests(self, I, monkeypatch):
+        """The walk reads facets and generators only: a point-by-point box
+        scan would call contains_exponent."""
+
+        def walk():
+            return (
+                integral_closure(I), i_greater(I), I.colength(), igt_truncation_order(I)
+            )
+
+        expected = walk()
+
+        def scan(self, exponent):
+            raise AssertionError("box scan: contains_exponent was called")
+
+        monkeypatch.setattr(MonomialIdeal, "contains_exponent", scan)
+        assert walk() == expected
 
 
 class TestElementwise:
