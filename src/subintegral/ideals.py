@@ -216,12 +216,16 @@ class MonomialIdeal:
             return math.inf
         if self.is_unit:
             return 0
+        bounds = self.axis_degrees()[:-1]
+        return sum(k for _, k in staircase_walk(bounds, self.least_last_exponent))
 
-        def least(p: Exponent) -> int:
-            # zip stops after p's n - 1 entries: this tests g' <= p.
-            return min(g[-1] for g in self.gens if _dominates(p, g))
-
-        return sum(k for _, k in staircase_walk(self.axis_degrees()[:-1], least))
+    def least_last_exponent(self, prefix: Exponent) -> int | float:
+        """min{g_n : g' <= prefix} over the generators g, where g' is g
+        without its last exponent; math.inf when no g' lies below prefix."""
+        # zip stops after the prefix's n - 1 entries: this tests g' <= prefix.
+        return min(
+            (g[-1] for g in self.gens if _dominates(prefix, g)), default=math.inf
+        )
 
     def generator_polys(self) -> list[SparsePoly]:
         return [SparsePoly.monomial(g) for g in self.gens]

@@ -1,14 +1,16 @@
 """Sparse exact linear algebra over the rationals.
 
 Rows are dictionaries mapping hashable, totally ordered column keys to
-nonzero Fractions.  The Echelon class maintains a reduced row echelon
-basis incrementally; everything is deterministic given the column order.
+nonzero Fractions.  The Echelon class keeps a row echelon basis, extended
+by one forward elimination per insert; the reduced row echelon form is
+built from it only when it is read.  Everything is deterministic given the
+column order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 Row = Dict[Hashable, Fraction]
 
@@ -17,29 +19,29 @@ def _clean(row: Row) -> Row:
     return {c: v for c, v in row.items() if v != 0}
 
 
-def scale(row: Row, factor: Fraction) -> Row:
-    if factor == 0:
-        return {}
-    return {c: v * factor for c, v in row.items()}
-
-
-def axpy(target: Row, factor: Fraction, source: Row) -> Row:
-    """target + factor * source, materialized as a new clean row."""
-    out = dict(target)
-    for c, v in source.items():
-        val = out.get(c, Fraction(0)) + factor * v
-        if val == 0:
-            out.pop(c, None)
+def _clear(row: Row, col: Hashable, pivot_row: Row) -> None:
+    """Subtract row[col] times pivot_row, which has a 1 at col, in place."""
+    factor = row[col]
+    for c, v in pivot_row.items():
+        val = row.get(c, 0) - factor * v
+        if val:
+            row[c] = val
         else:
-            out[c] = val
-    return out
+            del row[c]
 
 
 class Echelon:
-    """Reduced row echelon form kept as {pivot column: normalized row}."""
+    """Row echelon form kept as {pivot column: row}.
+
+    Each row has a leading 1 at its pivot column and entries only at
+    columns >= the pivot.  Inserting a row does no pass over the other
+    rows; the reduced form, in which no row has an entry at another row's
+    pivot, is built in place on the first read after a batch of inserts.
+    """
 
     def __init__(self, rows: Iterable[Row] = ()):
         self.pivots: Dict[Hashable, Row] = {}
+        self._reduced = True
         for row in rows:
             self.add_row(row)
 
@@ -47,29 +49,34 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> Row:
-        """Fully reduced residual of row against the current basis: every
-        pivot column is eliminated.  Empty iff the row is in the span."""
+    def _eliminate(self, row: Row, full: bool) -> Row:
+        """The one elimination loop: clear the least pivot column present,
+        until none is left (full) or the row leads with a non-pivot column."""
         row = _clean(row)
-        while True:
-            hits = [c for c in row if c in self.pivots]
-            if not hits:
-                return row
-            col = min(hits)
-            row = axpy(row, -row[col], self.pivots[col])
+        pivots = self.pivots
+        while row:
+            if full:
+                hits = [c for c in row if c in pivots]
+                if not hits:
+                    break
+                col = min(hits)
+            else:
+                col = min(row)
+                if col not in pivots:
+                    break
+            _clear(row, col, pivots[col])
+        return row
+
+    def reduce(self, row: Row) -> Row:
+        """Residual of row against the basis, with no pivot-column entries.
+        It is the same for every basis of the span, and empty iff the row
+        is in the span."""
+        return self._eliminate(row, full=True)
 
     def contains(self, row: Row) -> bool:
-        # Leading-column elimination suffices for membership: every row
-        # space element leads with a pivot column, so a non-pivot leading
-        # column is an immediate miss.
-        row = _clean(row)
-        while row:
-            lead = min(row)
-            pivot_row = self.pivots.get(lead)
-            if pivot_row is None:
-                return False
-            row = axpy(row, -row[lead], pivot_row)
-        return True
+        # Every nonzero element of the span leads with a pivot column, so a
+        # non-pivot leading column is an immediate miss.
+        return not self._eliminate(row, full=False)
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True when it enlarged the span."""
@@ -77,23 +84,47 @@ class Echelon:
         if not residual:
             return False
         lead = min(residual)
-        normalized = scale(residual, Fraction(1) / residual[lead])
-        # Keep the basis fully reduced: clear the new pivot column everywhere.
-        for col, existing in list(self.pivots.items()):
-            coeff = existing.get(lead)
-            if coeff:
-                self.pivots[col] = axpy(existing, -coeff, normalized)
-        self.pivots[lead] = normalized
+        if residual[lead] != 1:
+            inverse = Fraction(1) / residual[lead]
+            residual = {c: v * inverse for c, v in residual.items()}
+        self.pivots[lead] = residual
+        self._reduced = False
         return True
 
+    def _back_substitute(self) -> None:
+        """Clear every pivot column from the rows of the other pivots.
+
+        Rows are visited in decreasing pivot order, so the rows used to
+        clear a column are already reduced.  Each row is built afresh and
+        then assigned: a concurrent reader sees the old row or the new one,
+        which span the same space.
+        """
+        if self._reduced:
+            return
+        pivots = self.pivots
+        for lead in sorted(pivots, reverse=True):
+            row = pivots[lead]
+            hits = [c for c in row if c != lead and c in pivots]
+            if not hits:
+                continue
+            row = dict(row)
+            for col in hits:
+                _clear(row, col, pivots[col])
+            pivots[lead] = row
+        self._reduced = True
+
+    def _reduced_rows(self) -> Iterator[Row]:
+        """The rows of the reduced form themselves, by pivot column."""
+        self._back_substitute()
+        return (self.pivots[c] for c in sorted(self.pivots))
+
     def rows(self) -> List[Row]:
-        """Canonical basis rows, sorted by pivot column."""
-        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
+        """Reduced row echelon basis, sorted by pivot column."""
+        return [dict(row) for row in self._reduced_rows()]
 
     def same_space(self, other: "Echelon") -> bool:
-        if self.rank != other.rank:
-            return False
-        return all(other.contains(r) for r in self.rows())
+        # The reduced row echelon form of a span is unique.
+        return self.rows() == other.rows()
 
 
 def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> List[Row]:
@@ -136,13 +167,12 @@ def solve_sparse(
             row[(1,)] = Fraction(rhs)
         ech.add_row(row)
     solution: Dict[Hashable, Fraction] = {}
-    for pivot, row in ech.pivots.items():
+    for row in ech._reduced_rows():
+        pivot = min(row)
         if pivot == (1,):
             return None  # a row reduced to 0 = nonzero constant
-    for pivot, row in ech.pivots.items():
-        # Row reads: x_pivot + sum(coeff * x_free) = rhs; frees are zero.
-        rhs = row.get((1,), Fraction(0))
-        solution[pivot[1]] = rhs
+        # Reduced row: x_pivot + sum(coeff * x_free) = rhs; frees are zero.
+        solution[pivot[1]] = row.get((1,), Fraction(0))
     return solution
 
 

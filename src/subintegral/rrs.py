@@ -135,12 +135,19 @@ def construct_from_igt(
     return system
 
 
-def _degree_basis(nvars: int, max_degree: int) -> List[Tuple[int, ...]]:
-    return [
-        e
-        for e in product(*(range(max_degree + 1) for _ in range(nvars)))
-        if sum(e) <= max_degree
-    ]
+def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> List[Tuple[int, ...]]:
+    """Exponents of the monomials of the ideal of total degree <= max_degree,
+    in lex order.  Above each prefix p of the first n - 1 exponents they run
+    from the least last exponent of a generator below p up to max_degree - |p|."""
+    out = []
+    for p in product(range(max_degree + 1), repeat=ideal.nvars - 1):
+        top = max_degree - sum(p)
+        if top < 0:
+            continue
+        low = ideal.least_last_exponent(p)
+        if low <= top:
+            out.extend(p + (k,) for k in range(low, top + 1))
+    return out
 
 
 def search_at(
@@ -154,13 +161,10 @@ def search_at(
     """
     nvars = h.nvars
     deg_h = max(h.total_degree(), 1)
-    powers = {i: ideal.power(i) for i in range(1, 2 * q + 2)}
-    basis: dict[int, List[Tuple[int, ...]]] = {}
-    for i in range(1, 2 * q + 2):
-        cutoff = i * deg_h + degree_slack
-        basis[i] = [
-            e for e in _degree_basis(nvars, cutoff) if powers[i].contains_exponent(e)
-        ]
+    basis = {
+        i: _degree_basis(ideal.power(i), i * deg_h + degree_slack)
+        for i in range(1, 2 * q + 2)
+    }
 
     h_powers = {0: SparsePoly.constant(nvars, 1)}
     for n in range(1, 2 * q + 2):

@@ -66,6 +66,9 @@ PROGRAMS = [
     "ring QQ[x,y]; rrs certify (x^2*y) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; rrs verify (x^3*y^2) in (x^4, y^4)",
     "ring QQ[x,y]; rrs search (x^2 + x*y^3) in (x^2, y^4)",
+    # searched certificates whose q = 1 solve leaves free unknowns
+    "ring QQ[x,y]; rrs search (x^2*y^2) in (x^3, x*y^3, y^4)",
+    "ring QQ[x,y]; rrs search (x^4*y^3) in (x^5, y^5)",
     # zz-check: via I_> and via the bounded search
     "ring QQ[x,y]; zz-check (x^2*y) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; zz-check (x^2 + x*y^3) in (x^2, y^4)",
