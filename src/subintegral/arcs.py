@@ -15,6 +15,16 @@ along the two arcs.  Working in series mod t^(e+1) times series mod t^(f+1)
 therefore decides membership exactly; a failing arc pair is a certificate
 that h is not weakly subintegral over I.  The sampling refuter can only
 refute, never certify: a clean run over the whole budget is inconclusive.
+
+In that quotient the diagonal module is a subspace of Q^2, a line or the
+whole plane.  Every generator g pulls back to order >= e along the first
+arc and >= f along the second, so t * (g, g) vanishes in the quotient and
+(g, g) itself leaves only its coefficients (a_g, b_g) at (t^e, t^f).  The
+image is therefore the Q-span of the pairs (a_g, b_g).  It is never zero
+when e and f are finite: the generator that attains e has a_g != 0.  So
+(h, h) is in the module exactly when neither pullback of h has a term
+below t^e (resp. t^f) and (h_e, h_f) lies in that span, which for a line
+of slope s is the one product h_f = s * h_e.  No elimination is needed.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -31,16 +41,24 @@ from .errors import DimensionMismatch, TruncationTooSmall, UnsupportedIdeal
 from .ideals import MonomialIdeal
 from .linalg import Echelon, Row
 from .newton import rees_valuations
-from .poly import SparsePoly
+from .poly import Exponent, SparsePoly
 from .reductions import PolyIdeal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalArc:
     """One univariate polynomial per ambient variable, each with zero
     constant term (so the maximal ideal maps into (t))."""
 
     components: Tuple[SparsePoly, ...]
+    # Read by every pullback and every arc-module lookup, so computed once:
+    # each component as its (degree, coefficient) pairs, its t-order
+    # (math.inf for a zero component), and the arc's hash.
+    series: Tuple[Tuple[Tuple[int, Fraction], ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    orders: Tuple[int | float, ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for c in self.components:
@@ -48,6 +66,16 @@ class LocalArc:
                 raise ValueError("arc components are univariate polynomials")
             if c.coefficient((0,)) != 0:
                 raise ValueError("arc components need zero constant term")
+        series = tuple(
+            tuple((d, c) for (d,), c in comp.items()) for comp in self.components
+        )
+        orders = tuple(min((d for d, _ in s), default=math.inf) for s in series)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "_hash", hash(self.components))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def nvars(self) -> int:
@@ -75,14 +103,19 @@ class LocalArc:
         return iter(self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcPair:
     first: LocalArc
     second: LocalArc
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.first.nvars != self.second.nvars:
             raise DimensionMismatch("arcs live over different rings")
+        object.__setattr__(self, "_hash", hash((self.first, self.second)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __iter__(self):
         return iter((self.first, self.second))
@@ -105,23 +138,18 @@ class SubmodulePair:
                 raise ValueError("generator tuple has the wrong rank")
 
 
-def _truncated_product(a: dict, b: dict, order: int | float) -> dict:
-    """Product of two series {degree: coefficient} with the terms of degree
-    >= order dropped."""
+def _truncated_product(
+    a: dict, b: Iterable[Tuple[int, Fraction]], order: int | float
+) -> dict:
+    """Product of a series {degree: coefficient} and a series given by its
+    (degree, coefficient) pairs, with the terms of degree >= order dropped."""
     out: dict = {}
     for d1, c1 in a.items():
-        for d2, c2 in b.items():
+        for d2, c2 in b:
             d = d1 + d2
             if d < order:
                 out[d] = out.get(d, 0) + c1 * c2
     return out
-
-
-def _component_series(arc: LocalArc) -> Tuple[List[dict], List[int | float]]:
-    """Each component as a series {degree: coefficient}, and its t-order
-    (math.inf for a zero component)."""
-    comps = [{d: c for (d,), c in comp.items()} for comp in arc.components]
-    return comps, [min(c, default=math.inf) for c in comps]
 
 
 def _monomial_order(exp: Sequence[int], orders: Sequence[int | float]) -> int | float:
@@ -138,7 +166,7 @@ def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> Spa
     truncated at order."""
     if f.nvars != arc.nvars:
         raise DimensionMismatch("polynomial and arc variable counts differ")
-    comps, orders = _component_series(arc)
+    comps, orders = arc.series, arc.orders
     powers: List[List[dict]] = [[{0: 1}] for _ in comps]
     total: dict = {}
     for exp, coeff in f.items():
@@ -150,7 +178,7 @@ def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> Spa
                 table = powers[i]
                 while len(table) <= k:
                     table.append(_truncated_product(table[-1], comps[i], order))
-                term = _truncated_product(term, table[k], order)
+                term = _truncated_product(term, table[k].items(), order)
         for d, c in term.items():
             total[d] = total.get(d, 0) + c
     return SparsePoly(1, {(d,): c for d, c in total.items()})
@@ -162,7 +190,7 @@ def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:
     other f may cancel, so its exact pullback is taken."""
     if f.is_monomial():
         (exp, _), = f.items()
-        return _monomial_order(exp, _component_series(arc)[1])
+        return _monomial_order(exp, arc.orders)
     composed = pullback(f, arc)
     return math.inf if composed.is_zero else composed.min_degree()
 
@@ -259,42 +287,59 @@ def relative_membership(
 @lru_cache(maxsize=65536)
 def _ideal_arc_module(
     I: MonomialIdeal, arcs: ArcPair
-) -> Tuple[Tuple[int | float, int | float], Optional[Echelon]]:
+) -> Tuple[int | float, int | float, Optional[Fraction]]:
     """Pullback orders (e, f) of I along the two arcs and, when both are
-    finite, the echelon of the diagonal module image in the exact quotient
-    (series mod t^(e+1)) x (series mod t^(f+1)).  That image is the span of
-    the leading-coefficient pairs (t^e, t^f) of the generators: a multiple
-    t^k with k >= 1 of any generator's pair vanishes in the quotient."""
-    gens = I.generator_polys()
-    e = min((pullback_order(g, arcs.first) for g in gens), default=math.inf)
-    f = min((pullback_order(g, arcs.second) for g in gens), default=math.inf)
+    finite, the diagonal module's image in the exact quotient
+    (series mod t^(e+1)) x (series mod t^(f+1)): the slope s of the line
+    {(x, s * x)} it spans in Q^2, or None when it is the whole plane.
+
+    The image is the span of the leading-coefficient pairs (a_g, b_g) at
+    (t^e, t^f), where a_g is 0 unless g attains e (and b_g likewise): a
+    multiple t^k with k >= 1 of any generator's pair vanishes in the
+    quotient.  The generator attaining e has a_g != 0, so the span is the
+    line of slope b_g / a_g when every pair lies on it, else the plane."""
+    first = [_monomial_order(g, arcs.first.orders) for g in I.gens]
+    second = [_monomial_order(g, arcs.second.orders) for g in I.gens]
+    e = min(first, default=math.inf)
+    f = min(second, default=math.inf)
     if math.inf in (e, f):
-        return (e, f), None
-    ech = Echelon()
-    for g in gens:
-        row = _series_row(
-            (pullback(g, arcs.first, e + 1), pullback(g, arcs.second, f + 1)),
-            (e + 1, f + 1),
+        return e, f, None
+
+    def lead(g: Exponent, arc: LocalArc, order: int) -> Fraction:
+        return pullback(SparsePoly.monomial(g), arc, order + 1).coefficient((order,))
+
+    pairs = [
+        (
+            lead(g, arcs.first, e) if a == e else 0,
+            lead(g, arcs.second, f) if b == f else 0,
         )
-        if row:
-            ech.add_row(row)
-    return (e, f), ech
+        for g, a, b in zip(I.gens, first, second)
+        if a == e or b == f
+    ]
+    a0, b0 = next(p for p in pairs if p[0])
+    if any(a * b0 != b * a0 for a, b in pairs):
+        return e, f, None
+    return e, f, b0 / a0
 
 
 def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> bool:
     """Exact relative-closure membership of (h, h) for the pair of I along
     one arc pair.  Equivalent to relative_membership on the ideal pair, but
-    decided in the minimal exact quotient and cached per (I, arc pair)."""
-    (e, f), ech = _ideal_arc_module(I, arcs)
-    if ech is None:
+    decided in the minimal exact quotient, a line or the plane in Q^2 (see
+    the module docstring), cached per (I, arc pair)."""
+    e, f, slope = _ideal_arc_module(I, arcs)
+    if math.inf in (e, f):
         # A dead slot leaves no room at all: the target must vanish there,
         # and the live slot reduces to the valuative ideal-membership test.
         return (
             pullback(h, arcs.first, e).is_zero and pullback(h, arcs.second, f).is_zero
         )
+    # Each pullback keeps the degrees up to e (resp. f); one below is outside.
     v1 = pullback(h, arcs.first, e + 1)
     v2 = pullback(h, arcs.second, f + 1)
-    return ech.contains(_series_row((v1, v2), (e + 1, f + 1)))
+    if v1.min_degree() not in (-1, e) or v2.min_degree() not in (-1, f):
+        return False
+    return slope is None or v2.coefficient((f,)) == slope * v1.coefficient((e,))
 
 
 # -- deterministic arc-pair sampling ----------------------------------------------

@@ -10,6 +10,7 @@ generated by the zero exponent.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
@@ -149,12 +150,11 @@ class MonomialIdeal:
     def power(self, k: int) -> "MonomialIdeal":
         if k < 0:
             raise ValueError("negative ideal power")
-        if k == 0:
-            return MonomialIdeal.unit(self.nvars)
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        # Build a long chain of powers in steps, so that no miss recurses
+        # more than _POWER_STEP levels down.
+        for j in range(_POWER_STEP, k, _POWER_STEP):
+            _power(self, j)
+        return _power(self, k)
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """{a : a * other is contained in self}."""
@@ -326,3 +326,17 @@ def ord_in(f: SparsePoly, ideal: MonomialIdeal, cap: int = 64) -> int | float:
     if ideal.is_zero:
         return 0
     return min(max_power_membership(e, ideal.gens, cap) for e, _ in f.items())
+
+
+_POWER_STEP = 256
+
+
+@lru_cache(maxsize=1024)
+def _power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^k as I^(k-1) * I, so that each power of an ideal is multiplied out
+    once however often it is asked for."""
+    if k == 0:
+        return MonomialIdeal.unit(ideal.nvars)
+    if k == 1:
+        return ideal
+    return _power(ideal, k - 1) * ideal

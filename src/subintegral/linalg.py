@@ -10,7 +10,7 @@ column order.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
 Row = Dict[Hashable, Fraction]
 
@@ -113,14 +113,10 @@ class Echelon:
             pivots[lead] = row
         self._reduced = True
 
-    def _reduced_rows(self) -> Iterator[Row]:
-        """The rows of the reduced form themselves, by pivot column."""
-        self._back_substitute()
-        return (self.pivots[c] for c in sorted(self.pivots))
-
     def rows(self) -> List[Row]:
         """Reduced row echelon basis, sorted by pivot column."""
-        return [dict(row) for row in self._reduced_rows()]
+        self._back_substitute()
+        return [dict(self.pivots[c]) for c in sorted(self.pivots)]
 
     def same_space(self, other: "Echelon") -> bool:
         # The reduced row echelon form of a span is unique.
@@ -166,14 +162,21 @@ def solve_sparse(
         if rhs != 0:
             row[(1,)] = Fraction(rhs)
         ech.add_row(row)
-    solution: Dict[Hashable, Fraction] = {}
-    for row in ech._reduced_rows():
-        pivot = min(row)
-        if pivot == (1,):
-            return None  # a row reduced to 0 = nonzero constant
-        # Reduced row: x_pivot + sum(coeff * x_free) = rhs; frees are zero.
-        solution[pivot[1]] = row.get((1,), Fraction(0))
-    return solution
+    pivots = ech.pivots
+    if (1,) in pivots:
+        return None  # a row reduced to 0 = nonzero constant
+    # Row p reads x_p + sum(row[q] * x_q) = rhs over columns q > p, and the
+    # free unknowns are 0, so visiting the pivots in decreasing order finds
+    # every x_q it needs already solved.  Only the rhs column is read.
+    values: Dict[Hashable, Fraction] = {}
+    for p in sorted(pivots, reverse=True):
+        row = pivots[p]
+        x = row.get((1,), Fraction(0))
+        for q, v in row.items():
+            if q in values:
+                x -= v * values[q]
+        values[p] = x
+    return {p[1]: values[p] for p in sorted(values)}
 
 
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:

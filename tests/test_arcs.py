@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from subintegral import (
     sigma1_check,
 )
 from subintegral.arcs import _ideal_arc_module, _shared_stream
+from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
 from oracles import random_igt_element, random_monomial, random_monomial_ideal
@@ -177,6 +179,101 @@ class TestDeadSlot:
         assert relative_membership((h, h), delta_pair_of_ideal(self.I), arcs) == expected
 
 
+
+class TestArcModule:
+    # In the exact quotient the diagonal module of I is the span in Q^2 of
+    # the generators' (t^e, t^f) coefficient pairs: a line or the plane.
+    MIXED = ideal((2, 0), (1, 1), (0, 2))
+
+    def test_equal_arcs_give_the_diagonal_line(self):
+        for a in (T_T, T_MINUS_T, arc({1: 2}, {2: 3}), arc({1: 1, 2: 1}, {1: -1})):
+            e, f, slope = _ideal_arc_module(WEIGHTED, ArcPair(a, a))
+            assert e == f and slope == 1
+
+    def test_proportional_pairs_give_a_line(self):
+        # x^2 and y^2 both pull back to t^2 along (t, t) and (t, -t).
+        assert _ideal_arc_module(CORNER, ArcPair(T_T, T_MINUS_T)) == (2, 2, 1)
+
+    def test_independent_pairs_give_the_plane(self):
+        # xy adds the pair (1, -1) to the line of x^2 and y^2.
+        arcs = ArcPair(T_T, T_MINUS_T)
+        assert _ideal_arc_module(self.MIXED, arcs) == (2, 2, None)
+        h = mono(1, 1) + 3 * mono(2, 0) - mono(0, 1) * mono(0, 2)
+        assert ideal_pair_membership(h, self.MIXED, arcs)
+        assert not ideal_pair_membership(mono(1, 0), self.MIXED, arcs)
+
+    def test_generators_off_the_order_do_not_count(self):
+        # Along (t^2, t) only y^2 attains e = 2 and along (t, t^2) only
+        # x^2 attains f = 2: the pairs (0, 1), (1, 0) span the plane.
+        arcs = ArcPair(arc({2: 1}, {1: 1}), arc({1: 1}, {2: 1}))
+        assert _ideal_arc_module(CORNER, arcs) == (2, 2, None)
+        # Along (2t, t^2) and (-t, 5t^2) x^2 alone attains both orders: a line.
+        same = ArcPair(arc({1: 2}, {2: 1}), arc({1: -1}, {2: 5}))
+        assert _ideal_arc_module(CORNER, same) == (2, 2, Fraction(1, 4))
+
+    @pytest.mark.parametrize(
+        "I", [CORNER, WEIGHTED, ideal((2, 0), (1, 1), (0, 2)), ideal((3, 0), (1, 1), (0, 3))]
+    )
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            ArcPair(T_T, T_MINUS_T),
+            ArcPair(arc({1: 1}, {1: 2}), arc({1: 3}, {1: -1})),
+            ArcPair(arc({2: 1}, {1: 1}), arc({1: 1}, {2: 1})),
+            ArcPair(arc({1: 1, 2: 1}, {1: -1}), arc({1: 2}, {1: 1, 3: 1})),
+        ],
+    )
+    def test_hand_built_pairs_match_general_path(self, I, arcs):
+        pair = delta_pair_of_ideal(I)
+        for h in (mono(1, 1), mono(2, 0) - mono(0, 2), mono(1, 1) + mono(0, 2), mono(1, 2)):
+            assert ideal_pair_membership(h, I, arcs) == relative_membership((h, h), pair, arcs)
+
+    @pytest.mark.parametrize(
+        "arcs, orders",
+        [
+            (ArcPair(LocalArc.zero(2), T_T), (math.inf, 2)),
+            (ArcPair(T_T, LocalArc.zero(2)), (2, math.inf)),
+            (ArcPair(arc({}, {1: 1}), T_T), (math.inf, 2)),
+        ],
+    )
+    def test_dead_slots_keep_no_module(self, arcs, orders):
+        I = ideal((2, 0), (1, 1))
+        assert _ideal_arc_module(I, arcs) == (*orders, None)
+        for h in (mono(2, 0), mono(1, 1) + mono(3, 0), mono(0, 3), mono(1, 0)):
+            assert ideal_pair_membership(h, I, arcs) == relative_membership(
+                (h, h), delta_pair_of_ideal(I), arcs
+            )
+
+
+class TestArcData:
+    def test_equal_arcs_compare_and_hash_equal(self):
+        a = arc({1: 1, 2: -1}, {}, {3: 2})
+        b = LocalArc((
+            SparsePoly(1, {(2,): -1, (1,): 1}), SparsePoly.zero(1), SparsePoly(1, {(3,): 2})
+        ))
+        assert a is not b and a == b and hash(a) == hash(b)
+        p, q = ArcPair(a, LocalArc.zero(3)), ArcPair(b, LocalArc.zero(3))
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert len({p, q}) == 1 and {p: 1}[q] == 1
+        assert a != arc({1: 1, 2: -1}, {}, {3: 3})
+        assert p != ArcPair(LocalArc.zero(3), a)
+
+    def test_cached_data_is_left_out_of_repr_and_equality(self):
+        assert repr(T_T) == f"LocalArc(components={T_T.components!r})"
+        assert "hash" not in repr(ArcPair(T_T, T_T))
+
+    def test_cached_series_equals_a_fresh_one(self):
+        arcs = [a for pair in arc_pair_stream(3, ArcSampler(seed=4, count=60)) for a in pair]
+        arcs.append(arc({2: Fraction(1, 2), 5: 3}, {}, {1: -1}))
+        for a in arcs:
+            fresh = tuple(tuple((d, c) for (d,), c in comp.items()) for comp in a.components)
+            assert a.series == fresh
+            assert a.orders == tuple(
+                math.inf if comp.is_zero else comp.min_degree() for comp in a.components
+            )
+            assert hash(a) == hash(LocalArc(a.components))
+
+
 class TestRefuter:
     def test_witness_for_mixed_monomial(self):
         refutation = refute_star_membership(mono(1, 1), CORNER)
@@ -266,6 +363,40 @@ class TestRefuter:
         refutation = refute_star_membership(mono(1, 1, 0), I, sampler)
         assert refutation.pair == expected[refutation.index]
         assert all(ideal_pair_membership(mono(1, 1, 0), I, p) for p in expected[: refutation.index])
+
+
+
+class TestRefuterWork:
+    # Noise-free work counts of one fixed refuter input: no elimination at
+    # all, and one module per distinct (ideal, arc pair).
+    def test_no_echelon_and_one_module_per_pair(self, monkeypatch):
+        calls = {"add_row": 0, "contains": 0}
+
+        def counted(name):
+            original = getattr(Echelon, name)
+
+            def wrapper(self, row):
+                calls[name] += 1
+                return original(self, row)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(Echelon, name, counted(name))
+        sampler = ArcSampler(seed=1, count=100)
+        _ideal_arc_module.cache_clear()
+        # 100 pairs, two of them repeats of earlier ones.
+        assert refute_star_membership(mono(2, 0) + 3 * mono(1, 2), WEIGHTED, sampler) is None
+        info = _ideal_arc_module.cache_info()
+        assert (info.misses, info.hits) == (98, 2)
+        refutation = refute_star_membership(mono(1, 1), WEIGHTED, sampler)
+        assert refutation.index == 5
+        info = _ideal_arc_module.cache_info()
+        assert (info.misses, info.hits) == (98, 8)
+        assert calls == {"add_row": 0, "contains": 0}
+        # The general path still eliminates, so the counters do count.
+        relative_membership((mono(1, 1),) * 2, delta_pair_of_ideal(WEIGHTED), refutation.pair)
+        assert calls["add_row"] > 0 and calls["contains"] == 1
 
 
 class TestSigma1:

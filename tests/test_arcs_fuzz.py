@@ -1,7 +1,8 @@
 """Property tests: the truncated pullback agrees with SparsePoly.compose
 cut at the same order, and the cached fast path for the ideal pair agrees
 with the general truncated test on delta_pair_of_ideal, for multi-term
-elements whose terms cancel along the arcs and for arbitrary arc pairs."""
+elements whose terms cancel along the arcs and for arbitrary arc pairs,
+whose modules take every shape: a line, the plane, a dead slot."""
 
 import math
 from fractions import Fraction
@@ -21,6 +22,7 @@ from subintegral import (
     pullback_order,
     relative_membership,
 )
+from subintegral.arcs import _ideal_arc_module
 from subintegral.poly import SparsePoly
 
 COEFFS = [1, -1, 2, -2, Fraction(1, 2), 3]
@@ -94,10 +96,20 @@ def cases(draw):
     return h, I, arcs
 
 
-@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@hypothesis.given(cases())
-def test_fast_path_matches_general_path(case):
-    h, I, arcs = case
-    assert ideal_pair_membership(h, I, arcs) == relative_membership(
-        (h, h), delta_pair_of_ideal(I), arcs
-    )
+def test_fast_path_matches_general_path():
+    # The draws must reach both shapes of the module in Q^2, a line and the
+    # whole plane, as well as dead slots.
+    kinds = set()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        h, I, arcs = case
+        assert ideal_pair_membership(h, I, arcs) == relative_membership(
+            (h, h), delta_pair_of_ideal(I), arcs
+        )
+        e, f, slope = _ideal_arc_module(I, arcs)
+        kinds.add("dead" if math.inf in (e, f) else "plane" if slope is None else "line")
+
+    check()
+    assert kinds == {"dead", "line", "plane"}

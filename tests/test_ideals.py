@@ -6,6 +6,7 @@ import random
 import pytest
 
 from subintegral import DimensionMismatch, MonomialIdeal, minimal_generators, ord_in
+from subintegral.ideals import _power
 from subintegral.poly import SparsePoly
 
 from oracles import ord_by_power_chain, random_monomial, random_monomial_ideal
@@ -65,6 +66,28 @@ class TestIdealPower:
             a = rng.randint(0, 4)
             b = rng.randint(0, 8 - a)
             assert I.power(a) * I.power(b) == I.power(a + b)
+
+    def test_each_power_multiplied_out_once(self, monkeypatch):
+        I = ideal((3, 0), (1, 1), (0, 2))
+        expected = [MonomialIdeal.unit(2), I]
+        for _ in range(6):
+            expected.append(expected[-1] * I)
+        products = []
+        original = MonomialIdeal.__mul__
+
+        def counted(a, b):
+            products.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counted)
+        _power.cache_clear()
+        assert [I.power(k) for k in range(8)] == expected
+        assert len(products) == 6 and I.power(7) is I.power(7)
+        assert len(products) == 6
+
+    def test_long_power_chain(self):
+        # A cold power far past the build step does not exhaust the stack.
+        assert ideal((1, 2)).power(1500).gens == ((1500, 3000),)
 
 
 class TestColon:

@@ -113,6 +113,19 @@ def test_solve_matches_rref(m, data):
     # The particular solution with every free unknown set to 0.
     expected = {min(row): row.get(ncols, Fraction(0)) for row in reduced}
     assert solution == expected
+    assert list(solution) == sorted(solution)
+
+
+def test_solve_reads_no_reduced_form(monkeypatch):
+    # The particular solution comes from the rhs column alone.
+    def back_substitute(self):
+        raise AssertionError("solve_sparse built the reduced form")
+
+    monkeypatch.setattr(Echelon, "_back_substitute", back_substitute)
+    x = Fraction(1)
+    equations = [({0: x, 1: 2 * x, 2: x}, Fraction(3)), ({1: x, 2: -x}, Fraction(1)), ({2: x}, 5)]
+    assert solve_sparse(equations) == {0: -14, 1: 6, 2: 5}
+    assert solve_sparse(equations + [({0: x, 1: 3 * x}, 0)]) is None
 
 
 @SETTINGS
