@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, List, Optional
 
 from . import examples as examples_mod
@@ -290,7 +291,10 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+@lru_cache(maxsize=1)
+def _argument_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    `main` call (parsing keeps no state in it)."""
     parser = argparse.ArgumentParser(
         prog="subintegral",
         description="Exact closure computations for monomial ideals",
@@ -306,7 +310,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     parser.add_argument("--budget", type=int, help="search/sampling budget")
     parser.add_argument("--trunc", type=int, help="truncation-order override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _argument_parser().parse_args(argv)
 
     if args.program is not None:
         text = args.program

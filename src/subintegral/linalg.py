@@ -151,17 +151,60 @@ def solve_sparse(
     """Particular solution of a sparse linear system (free unknowns set to 0).
 
     Each equation is (coefficient row over unknown keys, right-hand side).
-    Returns None when the system is inconsistent.
+    Returns None when the system is inconsistent, and otherwise a dict in
+    sorted key order; unknowns absent from it are 0.
+
+    Only the blocks that carry a nonzero right-hand side are eliminated.
+    Join two equations when they share an unknown; each connected component
+    (block) is a subsystem on unknowns of its own, and the result is exact:
+
+    - Elimination only combines rows that share a pivot column, so each
+      block is eliminated on its own: the union of the blocks' echelon
+      forms is an echelon form of the whole coefficient matrix, and the
+      system is consistent iff every block is.
+    - The rhs column (1,) sorts after every unknown, so it becomes a pivot
+      only when some combination of rows reads 0 = nonzero, that is, only
+      when the system is inconsistent.
+    - A block whose right-hand side is zero is consistent, and its
+      particular solution with free unknowns 0 is 0: the zero vector
+      solves it and has every free unknown 0.
+    - The pivot set is the set of leading columns of the nonzero vectors
+      of the row space, and the particular solution is the one solution
+      that is 0 at every non-pivot unknown.  Neither depends on the order
+      in which rows are inserted, so leaving out the homogeneous blocks
+      changes no value.
     """
-    # Wrap unknown keys as (0, key) and the right-hand side as (1,); the tag
-    # keeps the rhs column last in the ordering, so it is only ever a pivot
-    # when some row reduces to 0 = nonzero.
-    ech = Echelon()
+    parent: Dict[Hashable, Hashable] = {}
+
+    def find(key: Hashable) -> Hashable:
+        while parent[key] != key:
+            parent[key] = parent[parent[key]]
+            key = parent[key]
+        return key
+
+    supports = []
     for coeffs, rhs in equations:
-        row = {(0, k): v for k, v in coeffs.items()}
-        if rhs != 0:
-            row[(1,)] = Fraction(rhs)
-        ech.add_row(row)
+        keys = [k for k, v in coeffs.items() if v]
+        if not keys and rhs:
+            return None  # 0 = nonzero
+        for k in keys:
+            parent.setdefault(k, k)
+        if keys:
+            root = find(keys[0])
+            for k in keys[1:]:
+                parent[find(k)] = root
+        supports.append(keys)
+    live = {find(keys[0]) for keys, (_, rhs) in zip(supports, equations) if rhs}
+
+    # Wrap unknown keys as (0, key) and the right-hand side as (1,); the tag
+    # keeps the rhs column last in the ordering.
+    ech = Echelon()
+    for keys, (coeffs, rhs) in zip(supports, equations):
+        if keys and find(keys[0]) in live:
+            row = {(0, k): v for k, v in coeffs.items()}
+            if rhs != 0:
+                row[(1,)] = Fraction(rhs)
+            ech.add_row(row)
     pivots = ech.pivots
     if (1,) in pivots:
         return None  # a row reduced to 0 = nonzero constant

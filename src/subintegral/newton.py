@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import List, Sequence, Tuple
 
@@ -95,7 +96,7 @@ def _solve_unit(rows: List[Tuple[int, ...]], j: int) -> Tuple[Fraction, ...]:
         [({k: Fraction(v) for k, v in enumerate(r) if v}, int(i == j))
          for i, r in enumerate(rows)]
     )
-    return tuple(solution[k] for k in range(len(rows)))
+    return tuple(solution.get(k, 0) for k in range(len(rows)))
 
 
 def extreme_rays(constraints: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
@@ -150,7 +151,11 @@ def extreme_rays(constraints: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
 # -- public operations ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
+    """NP(I), built once per ideal: the result is immutable, so every
+    caller (Rees valuations, reductions, closures) shares one run of
+    double description."""
     if ideal.is_zero:
         raise UnsupportedIdeal("the zero ideal has no Newton polyhedron")
     n = ideal.nvars

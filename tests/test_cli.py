@@ -1,5 +1,6 @@
 """Command-language parsing, report generation, and CLI behavior."""
 
+import argparse
 import json
 import pathlib
 import random
@@ -14,6 +15,7 @@ from subintegral import (
     parse_poly_text,
     run_worked_examples,
 )
+from subintegral import cli
 from subintegral.cli import Options, main, run
 from subintegral.parser import COMMANDS
 from subintegral.poly import SparsePoly, monomial_string
@@ -224,6 +226,24 @@ class TestMainEntry:
         assert first == second
         payload = json.loads(first)
         assert payload["result"]["verdict"] == "NotInStar"
+
+    def test_one_argument_parser_for_many_calls(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._argument_parser.cache_clear()
+        try:
+            for program in ("ring QQ[x,y]; igt (x^2, y^2)", "igt igt igt"):
+                main(["--json", "-c", program])
+                main(["-c", program, "--seed", "3"])
+        finally:
+            cli._argument_parser.cache_clear()
+        assert len(built) <= 1
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["-c", "igt igt igt"]) == 1

@@ -69,6 +69,10 @@ PROGRAMS = [
     # searched certificates whose q = 1 solve leaves free unknowns
     "ring QQ[x,y]; rrs search (x^2*y^2) in (x^3, x*y^3, y^4)",
     "ring QQ[x,y]; rrs search (x^4*y^3) in (x^5, y^5)",
+    # two-term h: the certificate systems fall into many blocks, few of
+    # which carry the right-hand side
+    "ring QQ[x,y]; rrs search (x^3*y^3 + x^2*y^4) in (x^4, y^4)",
+    "ring QQ[x,y]; zz-check (x^2*y^2 + x^3*y) in (x^3, x*y^3, y^4)",
     # zz-check: via I_> and via the bounded search
     "ring QQ[x,y]; zz-check (x^2*y) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; zz-check (x^2 + x*y^3) in (x^2, y^4)",

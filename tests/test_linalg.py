@@ -2,9 +2,11 @@
 
 On small sparse Fraction matrices with zero and duplicate rows, the echelon
 rank, reduced rows, span membership, particular solutions and row-space
-intersections agree with sympy's Matrix.rank and Matrix.rref.  Two
-deterministic guards follow: inserts and membership tests never build the
-reduced form, and membership tests stay right while another thread builds it.
+intersections agree with sympy's Matrix.rank and Matrix.rref, and so do
+block-diagonal systems whose rows are interleaved.  Deterministic guards
+follow: the solve inserts no row of a block with zero right-hand side,
+inserts and membership tests never build the reduced form, and membership
+tests stay right while another thread builds it.
 """
 
 import random
@@ -99,21 +101,87 @@ def test_contains_matches_rank_test(m, data):
         assert (not ech.reduce(v)) == expected
 
 
+def sympy_solution(rows, rhs, ncols):
+    """None when inconsistent, else the particular solution with every free
+    unknown 0, as {pivot column: value}."""
+    augmented = [row | ({ncols: b} if b else {}) for row, b in zip(rows, rhs)]
+    reduced = rref_rows(augmented, ncols + 1)
+    if any(min(row) == ncols for row in reduced):
+        return None
+    return {min(row): row.get(ncols, Fraction(0)) for row in reduced}
+
+
+def assert_same_solution(solution, expected, ncols):
+    # Unknowns absent from either side are 0.
+    assert (solution is None) == (expected is None)
+    if solution is None:
+        return
+    assert all(solution.get(j, 0) == expected.get(j, 0) for j in range(ncols))
+    assert list(solution) == sorted(solution)
+
+
 @SETTINGS
 @hypothesis.given(matrices(), st.data())
 def test_solve_matches_rref(m, data):
     ncols, rows = m
     rhs = [data.draw(st.sampled_from(VALUES)) for _ in rows]
     solution = solve_sparse(list(zip(rows, rhs)))
-    augmented = [row | ({ncols: b} if b else {}) for row, b in zip(rows, rhs)]
-    reduced = rref_rows(augmented, ncols + 1)
-    if any(min(row) == ncols for row in reduced):
-        assert solution is None
-        return
-    # The particular solution with every free unknown set to 0.
-    expected = {min(row): row.get(ncols, Fraction(0)) for row in reduced}
-    assert solution == expected
-    assert list(solution) == sorted(solution)
+    assert_same_solution(solution, sympy_solution(rows, rhs, ncols), ncols)
+
+
+@st.composite
+def block_systems(draw):
+    """(ncols, equations): blocks on disjoint column ranges with their rows
+    interleaved; each block's right-hand side is zero, drawn, or made
+    inconsistent by repeating one of its rows with rhs + 1."""
+    ncols, equations = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        width, rows = draw(matrices())
+        kind = draw(st.sampled_from(["zero", "drawn", "inconsistent"]))
+        rhs = [0 if kind == "zero" else draw(st.sampled_from(VALUES)) for _ in rows]
+        if kind == "inconsistent":
+            i = draw(st.integers(0, len(rows)))  # len(rows): the empty row
+            row, b = (rows[i], rhs[i]) if i < len(rows) else ({}, 0)
+            rows, rhs = rows + [row, row], rhs + [b, b + 1]
+        equations += [({ncols + c: v for c, v in row.items()}, b) for row, b in zip(rows, rhs)]
+        ncols += width
+    return ncols, draw(st.permutations(equations))
+
+
+@SETTINGS
+@hypothesis.given(block_systems())
+def test_block_systems_match_sympy(system):
+    ncols, equations = system
+    rows, rhs = [row for row, _ in equations], [b for _, b in equations]
+    solution = solve_sparse(equations)
+    assert_same_solution(solution, sympy_solution(rows, rhs, ncols), ncols)
+
+
+def test_homogeneous_blocks_are_never_inserted(monkeypatch):
+    # Eight blocks of 5 unknowns, 6 rows each, rows interleaved; the odd
+    # blocks have zero right-hand side.
+    rng = random.Random(3)
+    equations = []
+    for block in range(8):
+        for row in random_rows(rng, 6, 5, density=0.6):
+            row = {5 * block + c: v for c, v in row.items()}
+            equations.append((row, Fraction(rng.randint(-2, 2)) if block % 2 == 0 else 0))
+    rng.shuffle(equations)
+    live_columns = {c for c in range(40) if (c // 5) % 2 == 0}
+    inserted = []
+    add_row = Echelon.add_row
+
+    def spy(self, row):
+        inserted.append({c[1] for c in row if c[0] == 0})
+        return add_row(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", spy)
+    solution = solve_sparse(equations)
+    monkeypatch.undo()
+    assert inserted and all(keys <= live_columns for keys in inserted)
+    assert len(inserted) < len(equations)
+    rows, rhs = [row for row, _ in equations], [b for _, b in equations]
+    assert_same_solution(solution, sympy_solution(rows, rhs, 40), 40)
 
 
 def test_solve_reads_no_reduced_form(monkeypatch):

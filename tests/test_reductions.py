@@ -21,6 +21,7 @@ from subintegral import (
     reduction_from_igt,
     star_of_min_reduction,
 )
+from subintegral import newton
 from subintegral.poly import SparsePoly
 from subintegral.reductions import TruncatedQuotient
 
@@ -159,6 +160,21 @@ class TestStarOfMinimalReduction:
     def test_reduction_elements_are_members(self):
         star = star_of_min_reduction(ideal((2, 0), (0, 3)), WEIGHTED)
         assert star.contains(mono(2, 0) + 5 * mono(0, 3))
+
+    def test_one_double_description_per_ideal(self, monkeypatch):
+        # NP(J) and NP(I) are each built once; the Rees valuations that
+        # i_greater and the truncation order read come from the cache.
+        calls = []
+        extreme_rays = newton.extreme_rays
+
+        def spy(constraints):
+            calls.append(constraints)
+            return extreme_rays(constraints)
+
+        monkeypatch.setattr(newton, "extreme_rays", spy)
+        newton.newton_polyhedron.cache_clear()
+        star_of_min_reduction(ideal((4, 0), (0, 4)), ideal((4, 0), (3, 1), (0, 4)))
+        assert len(calls) == 2
 
     def test_rejects_non_reduction(self):
         with pytest.raises(PreconditionError):

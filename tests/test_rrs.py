@@ -19,6 +19,7 @@ from subintegral import (
     verify_failure,
     window_equations,
 )
+from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
 from oracles import random_igt_element, random_monomial_ideal
@@ -120,6 +121,24 @@ class TestBoundedSearch:
         constructive = construct_from_igt(a, WEIGHTED)
         found = bounded_search(a, WEIGHTED, q_max=constructive.q)
         assert found is not None and found.q <= constructive.q
+
+    def test_search_inserts_only_the_rhs_block(self, monkeypatch):
+        # At q = 1 the system of h = x^3*y^3 over (x^4, y^4) has 682
+        # equations; only the block holding -h^n has a nonzero right-hand
+        # side, and its 2 equations are all that the solve eliminates.
+        inserted = []
+        add_row = Echelon.add_row
+
+        def spy(self, row):
+            inserted.append(row)
+            return add_row(self, row)
+
+        monkeypatch.setattr(Echelon, "add_row", spy)
+        h, I = mono(3, 3), ideal((4, 0), (0, 4))
+        system = search_at(h, I, 1, 12)
+        monkeypatch.undo()
+        assert system is not None and verify(h, system, I)
+        assert len(inserted) == 2
 
     def test_not_found_is_inconclusive_value(self):
         assert bounded_search(mono(1, 1), CORNER, q_max=4) is None
