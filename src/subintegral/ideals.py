@@ -111,10 +111,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
 
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
-
     def contains_exponent(self, exponent: Sequence[int]) -> bool:
         e = tuple(exponent)
         return any(_dominates(e, g) for g in self.gens)

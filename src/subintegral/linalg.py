@@ -221,10 +221,3 @@ def solve_sparse(
         values[p] = x
     return {p[1]: values[p] for p in sorted(values)}
 
-
-def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a small dense collection of rational vectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add_row({i: Fraction(x) for i, x in enumerate(v) if x != 0})
-    return ech.rank

@@ -8,6 +8,10 @@ by double description on the homogenization cone: facet normals of
 
 are the extreme rays of the dual cone {a : <a, c> >= 0 for all c in C},
 and each ray (w, -v) with w nonzero yields the facet <w, x> >= v of NP(I).
+Double description runs in integers: it starts from the rays of the
+coordinate constraints and the first generator, known in closed form, and
+tells adjacent rays apart by their tight sets alone, the combinatorial
+test of Fukuda and Prodon ("Double description method revisited", 1996).
 A facet is bounded exactly when its normal is strictly positive, and for
 ideals of finite colength the bounded facets carry the Rees valuations:
 v_w(x^a) = <w, a> with v_w(I) the facet value.
@@ -23,7 +27,6 @@ from typing import List, Sequence, Tuple
 
 from .errors import UnsupportedIdeal
 from .ideals import MonomialIdeal
-from .linalg import Echelon, rank_of_vectors, solve_sparse
 from .poly import Exponent, SparsePoly
 
 
@@ -59,91 +62,71 @@ class ReesValuation:
         return min(self.value_of_exponent(e) for e, _ in f.items())
 
 
-# -- exact double description -------------------------------------------------
+# -- double description in integers --------------------------------------------
 
 
-def _primitive(vector: Sequence[Fraction]) -> Tuple[int, ...]:
-    fracs = [Fraction(v) for v in vector]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints) if g else tuple(ints)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
 
 
-def _dot(a: Sequence, b: Sequence) -> Fraction:
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+def _primitive(vector: Sequence[int]) -> Tuple[int, ...]:
+    g = gcd(*vector)
+    return tuple(v // g for v in vector)
 
 
-def _initial_basis(constraints: List[Tuple[int, ...]], dim: int) -> List[int]:
-    """Greedy choice of `dim` constraint indices with independent rows."""
-    ech = Echelon()
-    chosen: List[int] = []
-    for i, c in enumerate(constraints):
-        if ech.add_row({k: Fraction(v) for k, v in enumerate(c) if v}):
-            chosen.append(i)
-            if len(chosen) == dim:
-                return chosen
-    raise ValueError("constraint set is not full-dimensional")
+def extreme_rays(gens: Sequence[Exponent]) -> List[Tuple[int, ...]]:
+    """Extreme rays, sorted, of the dual cone {a : <c, a> >= 0 for all c},
+    where c runs over the n coordinate constraints (e_i, 0) and one
+    constraint (g, 1) per exponent g of the nonempty list `gens`.
 
+    Constraint k is (e_k, 0) for k < n and (gens[k - n], 1) after that.
+    Each ray carries its tight set Z(r), the constraints added so far on
+    which it is 0, as a bit mask.
 
-def _solve_unit(rows: List[Tuple[int, ...]], j: int) -> Tuple[Fraction, ...]:
-    """Solve M a = e_j for the small dense invertible matrix with given rows."""
-    solution = solve_sparse(
-        [({k: Fraction(v) for k, v in enumerate(r) if v}, int(i == j))
-         for i, r in enumerate(rows)]
-    )
-    return tuple(solution.get(k, 0) for k in range(len(rows)))
-
-
-def extreme_rays(constraints: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """Extreme rays of the pointed cone {a : <c, a> >= 0 for all constraints}.
-
-    Requires the constraint rows to span the ambient space (so the cone is
-    pointed).  Classical double description with the algebraic adjacency
-    test: two rays are adjacent iff their common active constraints have
-    rank dim - 2.
+    - Start.  The coordinate constraints and (g0, 1), g0 = gens[0], are the
+      rows of an invertible B with B a = (a_1, ..., a_n, <g0, a'> + a_{n+1}).
+      The columns of B^-1, (e_j, -g0_j) and (0, 1), are the extreme rays of
+      {a : B a >= 0}, and each is tight on every row of B but its own.
+      That cone is pointed, and so is every cone cut from it.
+    - Step.  A new constraint c keeps the rays with <c, r> >= 0, adds c to
+      Z(r) where <c, r> = 0, and for each adjacent pair of rays r+, r- with
+      <c, r+> > 0 > <c, r-> adds the ray p r- + m r+, where p = <c, r+> and
+      m = -<c, r->.
+    - Adjacency.  In a pointed cone the face cut out by Z(r) & Z(s) is the
+      least face holding r + s.  Rays r and s are adjacent iff that face is
+      2-dimensional.  A 2-dimensional pointed cone has two extreme rays and
+      one of higher dimension has at least three, so r and s are adjacent
+      iff no third ray is tight on all of Z(r) & Z(s).  Distinct extreme
+      rays have distinct tight sets, so the masks tell the rays apart.
+    - The new ray's tight set is Z(r+) & Z(r-) plus c, with no dot product:
+      on an earlier constraint c' it reads p <c', r-> + m <c', r+>, a sum of
+      two nonnegative terms that is 0 iff both are.
+    - The new ray is never 0: p r- = -m r+ with p, m > 0 would put r+ and
+      -r+ in a pointed cone.
     """
-    cons = [tuple(int(v) for v in c) for c in constraints]
-    dim = len(cons[0])
-    base = _initial_basis(cons, dim)
-    base_rows = [cons[i] for i in base]
+    n = len(gens[0])
+    base = (1 << (n + 1)) - 1
+    rays = {(0,) * n + (1,): base & ~(1 << n)}
+    for j in range(n):
+        ray = [0] * (n + 1)
+        ray[j], ray[n] = 1, -gens[0][j]
+        rays[tuple(ray)] = base & ~(1 << j)
 
-    rays: dict[Tuple[int, ...], frozenset] = {}
-    for j in range(dim):
-        ray = _primitive(_solve_unit(base_rows, j))
-        rays[ray] = frozenset(base[k] for k in range(dim) if k != j)
-
-    processed = set(base)
-    for idx, g in enumerate(cons):
-        if idx in processed:
-            continue
-        processed.add(idx)
-        vals = {r: _dot(g, r) for r in rays}
-        plus = [r for r, v in vals.items() if v > 0]
-        zero = [r for r, v in vals.items() if v == 0]
-        minus = [r for r, v in vals.items() if v < 0]
-        new_rays: dict[Tuple[int, ...], frozenset] = {}
-        for r in plus:
-            new_rays[r] = rays[r]
-        for r in zero:
-            new_rays[r] = rays[r] | {idx}
+    for k, g in enumerate(gens[1:], start=n + 1):
+        c = tuple(g) + (1,)
+        bit = 1 << k
+        vals = {r: _dot(c, r) for r in rays}
+        new_rays = {r: z | bit if vals[r] == 0 else z for r, z in rays.items() if vals[r] >= 0}
+        plus = [r for r in rays if vals[r] > 0]
+        minus = [r for r in rays if vals[r] < 0]
         for rp in plus:
             for rm in minus:
-                common = rays[rp] & rays[rm]
-                if rank_of_vectors([cons[i] for i in common]) != dim - 2:
+                zp, zm = rays[rp], rays[rm]
+                common = zp & zm
+                if any(z & common == common for z in rays.values() if z not in (zp, zm)):
                     continue
-                combo = tuple(
-                    vals[rp] * a - vals[rm] * b for a, b in zip(rm, rp)
-                )
-                ray = _primitive(combo)
-                if ray not in new_rays:
-                    new_rays[ray] = frozenset(
-                        k for k in processed if _dot(cons[k], ray) == 0
-                    )
+                ray = _primitive([vals[rp] * a - vals[rm] * b for a, b in zip(rm, rp)])
+                new_rays[ray] = common | bit
         rays = new_rays
     return sorted(rays)
 
@@ -155,20 +138,20 @@ def extreme_rays(constraints: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """NP(I), built once per ideal: the result is immutable, so every
     caller (Rees valuations, reductions, closures) shares one run of
-    double description."""
+    double description.
+
+    A generator g is a vertex iff no other generator is tight on every facet
+    tight at g.  Those facets cut out F, the least face holding g, and F is
+    the hull of the generators on it plus the cone of the axis directions
+    along which it recedes.  If g is the only generator on F, then F is g
+    plus a cone of axis directions, so {g} is a face of NP inside F, and
+    F = {g} because F is least.
+    """
     if ideal.is_zero:
         raise UnsupportedIdeal("the zero ideal has no Newton polyhedron")
     n = ideal.nvars
-    constraints: List[Tuple[int, ...]] = []
-    for i in range(n):
-        e = [0] * (n + 1)
-        e[i] = 1
-        constraints.append(tuple(e))
-    for g in ideal.gens:
-        constraints.append(tuple(g) + (1,))
-
     facets: List[Facet] = []
-    for ray in extreme_rays(constraints):
+    for ray in extreme_rays(ideal.gens):
         w, last = ray[:n], ray[n]
         if not any(w):
             continue  # homogenization artifact (the trivial inequality)
@@ -177,12 +160,10 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
     vertices = []
     for g in ideal.gens:
-        active = [
-            f.normal
-            for f in facets
-            if sum(w * e for w, e in zip(f.normal, g)) == f.value
-        ]
-        if rank_of_vectors(active) == n:
+        tight = [f for f in facets if _dot(f.normal, g) == f.value]
+        if not any(
+            h != g and all(_dot(f.normal, h) == f.value for f in tight) for h in ideal.gens
+        ):
             vertices.append(g)
     return NewtonPolyhedron(nvars=n, vertices=tuple(sorted(vertices)), facets=tuple(facets))
 

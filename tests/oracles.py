@@ -1,12 +1,14 @@
 """Independent oracles and random-input generators for the test suite.
 
 Each oracle recomputes a quantity by a different algorithm than the library
-path it checks: bounded facets by a 2D hull sweep instead of double
-description, integral-closure membership by brute-force Minkowski sums
-instead of facet inequalities, the integral closure, i_greater, their
-truncation order and the colength by testing every point of the
-axis-degree box instead of walking the staircase, and ideal orders by
-explicit power chains instead of branch-and-bound.
+path it checks: bounded facets and vertices by a 2D hull sweep, and all
+facets by 3D plane enumeration with vertices from the rank of the facets
+tight at each generator, instead of double description; integral-closure
+membership by brute-force Minkowski sums instead of facet inequalities;
+the integral closure, i_greater, their truncation order and the colength
+by testing every point of the axis-degree box instead of walking the
+staircase; and ideal orders by explicit power chains instead of
+branch-and-bound.
 """
 
 from __future__ import annotations
@@ -23,15 +25,29 @@ def cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def bounded_facets_2d_sweep(gens):
-    """Bounded facets of the staircase hull of 2-variable exponents, as a
-    set of (normal, value) pairs, by a monotone-chain edge sweep."""
+def _lower_hull_2d(gens):
+    """Lower convex hull of 2-variable exponents, left to right, by a
+    monotone-chain sweep; collinear points are dropped."""
     pts = sorted(set(tuple(g) for g in gens))
     hull = []
     for p in pts:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)
+    return hull
+
+
+def vertices_2d_sweep(gens):
+    """Corners of the staircase hull of 2-variable exponents: the lower hull
+    from its leftmost point down to its first lowest point."""
+    hull = _lower_hull_2d(gens)
+    return set(hull[: hull.index(min(hull, key=lambda p: p[1])) + 1])
+
+
+def bounded_facets_2d_sweep(gens):
+    """Bounded facets of the staircase hull of 2-variable exponents, as a
+    set of (normal, value) pairs, by a monotone-chain edge sweep."""
+    hull = _lower_hull_2d(gens)
     facets = set()
     for a, b in zip(hull, hull[1:]):
         dx, dy = b[0] - a[0], b[1] - a[1]
@@ -88,6 +104,17 @@ def facets_3d_brute(gens):
             if _rank3(span) == 2:
                 facets.add((w, value))
     return facets
+
+
+def vertices_3d_brute(gens):
+    """Generators of 3-variable exponents at which the facets of
+    facets_3d_brute that are tight there have normals of rank 3."""
+    facets = facets_3d_brute(gens)
+    return {
+        tuple(g)
+        for g in gens
+        if _rank3([w for w, v in facets if sum(a * b for a, b in zip(w, g)) == v]) == 3
+    }
 
 
 def _rank3(vectors):

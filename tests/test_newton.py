@@ -8,12 +8,19 @@ import pytest
 from subintegral import (
     MonomialIdeal,
     UnsupportedIdeal,
+    linalg,
+    newton,
     newton_polyhedron,
     np_membership,
     rees_valuations,
 )
 
-from oracles import bounded_facets_2d_sweep, random_monomial_ideal
+from oracles import (
+    bounded_facets_2d_sweep,
+    random_monomial_ideal,
+    vertices_2d_sweep,
+    vertices_3d_brute,
+)
 
 
 def ideal(*exps):
@@ -49,15 +56,33 @@ class TestNewtonPolyhedron:
             assert all(np_membership(g, np) for g in I.gens)
 
     def test_power_scales_facets(self):
+        # NP(I^k) = k NP(I): the only oracle in 4 variables.
         rng = random.Random(5)
-        for _ in range(10):
-            I = random_monomial_ideal(rng, 2, max_exp=3)
+        for nvars in [2] * 10 + [3] * 6 + [4] * 4:
+            I = random_monomial_ideal(rng, nvars, max_exp=3)
             base = newton_polyhedron(I)
             k = rng.randint(2, 5)
             scaled = newton_polyhedron(I.power(k))
             got = {(f.normal, f.value) for f in scaled.facets}
             want = {(f.normal, k * f.value) for f in base.facets}
             assert got == want
+            assert scaled.vertices == tuple(
+                tuple(k * a for a in v) for v in base.vertices
+            )
+
+    def test_double_description_does_no_rational_elimination(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("double description reached linalg")
+
+        monkeypatch.setattr(linalg.Echelon, "add_row", refuse)
+        monkeypatch.setattr(linalg.Echelon, "_eliminate", refuse)
+        newton.newton_polyhedron.cache_clear()
+        for I in (
+            ideal((3, 0), (1, 1), (0, 4)),
+            ideal((4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)),
+            ideal((3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 2, 0), (0, 0, 0, 5), (1, 1, 1, 1)),
+        ):
+            assert newton_polyhedron(I).bounded_facets()
 
 
 class TestReesValuations:
@@ -110,6 +135,7 @@ class TestSweepOracle:
                 finite_colength=rng.random() < 0.7,
             )
             assert bounded_set(I) == bounded_facets_2d_sweep(I.gens)
+            assert set(newton_polyhedron(I).vertices) == vertices_2d_sweep(I.gens)
 
 
 class TestBruteFacetOracle3D:
@@ -122,6 +148,7 @@ class TestBruteFacetOracle3D:
         assert {(f.normal, f.value) for f in newton_polyhedron(I).bounded_facets()} == {
             ((1, 1, 2), 4), ((1, 2, 1), 4), ((2, 1, 1), 4)
         }
+        assert set(newton_polyhedron(I).vertices) == vertices_3d_brute(I.gens)
 
     def test_agreement_on_random_three_variable_ideals(self):
         from oracles import facets_3d_brute
@@ -134,3 +161,4 @@ class TestBruteFacetOracle3D:
             )
             got = {(f.normal, f.value) for f in newton_polyhedron(I).facets}
             assert got == facets_3d_brute(I.gens), I.to_string()
+            assert set(newton_polyhedron(I).vertices) == vertices_3d_brute(I.gens), I.to_string()
