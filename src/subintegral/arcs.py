@@ -32,10 +32,10 @@ from __future__ import annotations
 import math
 import random
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, TruncationTooSmall, UnsupportedIdeal
 from .ideals import MonomialIdeal
@@ -45,41 +45,54 @@ from .poly import Exponent, SparsePoly
 from .reductions import PolyIdeal
 
 
-@dataclass(frozen=True, slots=True)
 class LocalArc:
     """One univariate polynomial per ambient variable, each with zero
     constant term (so the maximal ideal maps into (t))."""
 
-    components: Tuple[SparsePoly, ...]
     # Read by every pullback and every arc-module lookup, so computed once:
     # each component as its (degree, coefficient) pairs, its t-order
-    # (math.inf for a zero component), and the arc's hash.
-    series: Tuple[Tuple[Tuple[int, Fraction], ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
-    orders: Tuple[int | float, ...] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    # (math.inf for a zero component), and the arc's hash.  The fields are
+    # read through properties without setters, so an arc cannot change.
+    __slots__ = ("_components", "_series", "_orders", "_hash")
 
-    def __post_init__(self):
-        for c in self.components:
+    def __init__(self, components: tuple[SparsePoly, ...]):
+        for c in components:
             if c.nvars != 1:
                 raise ValueError("arc components are univariate polynomials")
             if c.coefficient((0,)) != 0:
                 raise ValueError("arc components need zero constant term")
-        series = tuple(
-            tuple((d, c) for (d,), c in comp.items()) for comp in self.components
-        )
-        orders = tuple(min((d for d, _ in s), default=math.inf) for s in series)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "_hash", hash(self.components))
+        series = tuple(tuple((d, c) for (d,), c in comp.items()) for comp in components)
+        self._components = components
+        self._series = series
+        self._orders = tuple(min((d for d, _ in s), default=math.inf) for s in series)
+        self._hash = hash(components)
+
+    @property
+    def components(self) -> tuple[SparsePoly, ...]:
+        return self._components
+
+    @property
+    def series(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        return self._series
+
+    @property
+    def orders(self) -> tuple[int | float, ...]:
+        return self._orders
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._components == other._components
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __repr__(self) -> str:
+        return f"LocalArc(components={self._components!r})"
+
     @property
     def nvars(self) -> int:
-        return len(self.components)
+        return len(self._components)
 
     @classmethod
     def zero(cls, nvars: int) -> "LocalArc":
@@ -96,50 +109,46 @@ class LocalArc:
                 comps.append(SparsePoly(1, {(int(w),): Fraction(c)}))
         return cls(tuple(comps))
 
-    def to_strings(self) -> List[str]:
-        return [c.to_string(("t",)) for c in self.components]
+    def to_strings(self) -> list[str]:
+        return [c.to_string(("t",)) for c in self._components]
 
     def __iter__(self):
-        return iter(self.components)
+        return iter(self._components)
 
 
-@dataclass(frozen=True, slots=True)
-class ArcPair:
-    first: LocalArc
-    second: LocalArc
-    _hash: int = field(init=False, repr=False, compare=False)
+class ArcPair(namedtuple("ArcPair", "first second")):
+    """Two local arcs over the same ring, one per slot of a module pair."""
 
-    def __post_init__(self):
-        if self.first.nvars != self.second.nvars:
+    __slots__ = ()
+
+    def __new__(cls, first: LocalArc, second: LocalArc):
+        if first.nvars != second.nvars:
             raise DimensionMismatch("arcs live over different rings")
-        object.__setattr__(self, "_hash", hash((self.first, self.second)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __iter__(self):
-        return iter((self.first, self.second))
+        return super().__new__(cls, first, second)
 
     def to_json(self) -> dict:
         return {"first": self.first.to_strings(), "second": self.second.to_strings()}
 
 
-@dataclass(frozen=True)
-class SubmodulePair:
+class SubmodulePair(namedtuple("SubmodulePair", "rank inner outer")):
     """Inner and outer generating tuples of rank-r submodules M inside N."""
 
-    rank: int
-    inner: Tuple[Tuple[SparsePoly, ...], ...]
-    outer: Tuple[Tuple[SparsePoly, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for tup in self.inner + self.outer:
-            if len(tup) != self.rank:
+    def __new__(
+        cls,
+        rank: int,
+        inner: tuple[tuple[SparsePoly, ...], ...],
+        outer: tuple[tuple[SparsePoly, ...], ...],
+    ):
+        for tup in inner + outer:
+            if len(tup) != rank:
                 raise ValueError("generator tuple has the wrong rank")
+        return super().__new__(cls, rank, inner, outer)
 
 
 def _truncated_product(
-    a: dict, b: Iterable[Tuple[int, Fraction]], order: int | float
+    a: dict, b: Iterable[tuple[int, Fraction]], order: int | float
 ) -> dict:
     """Product of a series {degree: coefficient} and a series given by its
     (degree, coefficient) pairs, with the terms of degree >= order dropped."""
@@ -167,7 +176,7 @@ def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> Spa
     if f.nvars != arc.nvars:
         raise DimensionMismatch("polynomial and arc variable counts differ")
     comps, orders = arc.series, arc.orders
-    powers: List[List[dict]] = [[{0: 1}] for _ in comps]
+    powers: list[list[dict]] = [[{0: 1}] for _ in comps]
     total: dict = {}
     for exp, coeff in f.items():
         if _monomial_order(exp, orders) >= order:
@@ -244,7 +253,7 @@ def relative_membership(
     if len(arc_list) != pair.rank or len(h_tuple) != pair.rank:
         raise DimensionMismatch("rank, arcs, and target tuple must all agree")
 
-    def pull(tup: Sequence[SparsePoly]) -> Tuple[SparsePoly, ...]:
+    def pull(tup: Sequence[SparsePoly]) -> tuple[SparsePoly, ...]:
         return tuple(pullback(tup[s], arc_list[s]) for s in range(pair.rank))
 
     pulled_inner = [pull(t) for t in pair.inner]
@@ -287,7 +296,7 @@ def relative_membership(
 @lru_cache(maxsize=65536)
 def _ideal_arc_module(
     I: MonomialIdeal, arcs: ArcPair
-) -> Tuple[int | float, int | float, Optional[Fraction]]:
+) -> tuple[int | float, int | float, Fraction | None]:
     """Pullback orders (e, f) of I along the two arcs and, when both are
     finite, the diagonal module's image in the exact quotient
     (series mod t^(e+1)) x (series mod t^(f+1)): the slope s of the line
@@ -345,19 +354,23 @@ def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> boo
 # -- deterministic arc-pair sampling ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcSampler:
-    seed: int = 0
-    count: int = 200
-    weight_bound: int = 3
-    coeff_set: Tuple[int, ...] = (1, -1, 2, -2, 3)
+class ArcSampler(
+    namedtuple(
+        "ArcSampler",
+        "seed count weight_bound coeff_set",
+        defaults=(0, 200, 3, (1, -1, 2, -2, 3)),
+    )
+):
+    """Seed, length, largest weight and coefficient choices of a stream."""
+
+    __slots__ = ()
 
 
 def _t_arc(nvars: int) -> LocalArc:
     return LocalArc.monomial([1] * nvars, [1] * nvars)
 
 
-def prefix_arc_pairs(nvars: int) -> List[ArcPair]:
+def prefix_arc_pairs(nvars: int) -> list[ArcPair]:
     """Hand-picked pairs that open every sampling stream: degenerate pairs
     first, then the all-t arc against its single-sign flips."""
     ones = _t_arc(nvars)
@@ -431,7 +444,7 @@ class _DrawnOnce:
 
     def __init__(self, stream: Iterable[ArcPair]):
         self._source = iter(stream)
-        self._drawn: List[ArcPair] = []
+        self._drawn: list[ArcPair] = []
         self._lock = threading.Lock()
 
     def __iter__(self) -> Iterator[ArcPair]:
@@ -454,18 +467,16 @@ def _shared_stream(nvars: int, sampler: ArcSampler) -> _DrawnOnce:
     return _DrawnOnce(arc_pair_stream(nvars, sampler))
 
 
-@dataclass(frozen=True)
-class Refutation:
-    """A failing arc pair: a certificate of non-membership in the weak
-    subintegral closure."""
+class Refutation(namedtuple("Refutation", "pair index")):
+    """A failing arc pair, and its index in the stream: a certificate of
+    non-membership in the weak subintegral closure."""
 
-    pair: ArcPair
-    index: int
+    __slots__ = ()
 
 
 def refute_star_membership(
     h: SparsePoly, I: MonomialIdeal, sampler: ArcSampler | None = None
-) -> Optional[Refutation]:
+) -> Refutation | None:
     """Search the deterministic arc-pair stream for a membership failure of
     (h, h) against the pair of I.  Returns the first refuting pair, or None
     (inconclusive)."""
@@ -484,10 +495,10 @@ def sigma1_check(h: SparsePoly, J: MonomialIdeal) -> bool:
     return all(v.value(h) >= v.value_on_ideal for v in vals)
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
-    index: int
-    refutation: Optional[Refutation]
+class ProbeOutcome(namedtuple("ProbeOutcome", "index refutation")):
+    """The first refutation of probe number `index`, or None."""
+
+    __slots__ = ()
 
     @property
     def passes(self) -> bool:
@@ -498,7 +509,7 @@ def basic_facts_check(
     pair: SubmodulePair,
     probes: Sequence[Sequence[SparsePoly]],
     arc_pairs: Sequence[ArcPair] | None = None,
-) -> List[ProbeOutcome]:
+) -> list[ProbeOutcome]:
     """Run each probe tuple through a battery of arc pairs and record the
     first refuting pair, if any."""
     if arc_pairs is None:
@@ -509,7 +520,7 @@ def basic_facts_check(
         battery = list(_shared_stream(nvars, ArcSampler(seed=0, count=40)))
     else:
         battery = list(arc_pairs)
-    outcomes: List[ProbeOutcome] = []
+    outcomes: list[ProbeOutcome] = []
     for idx, probe in enumerate(probes):
         refutation = None
         for j, arcs in enumerate(battery):

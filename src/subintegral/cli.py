@@ -13,10 +13,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, List, Optional
 
 from . import examples as examples_mod
 from .arcs import ArcSampler, refute_star_membership
@@ -40,11 +39,10 @@ from .rrs import bounded_search, construct_from_igt, derivative_chain_check, ver
 SCHEMA = 1
 
 
-@dataclass
-class Options:
-    seed: int = 0
-    budget: Optional[int] = None
-    trunc: Optional[int] = None
+class Options(namedtuple("Options", "seed budget trunc", defaults=(0, None, None))):
+    """The --seed, --budget and --trunc flags of one CLI call."""
+
+    __slots__ = ()
 
 
 def _frac_str(value) -> str:
@@ -54,7 +52,7 @@ def _frac_str(value) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _ideal_json(I, names) -> Any:
+def _ideal_json(I, names) -> object:
     if isinstance(I, MonomialIdeal):
         return examples_mod.render_ideal(I, names)
     return [g.to_string(names) for g in I.gens]
@@ -313,7 +311,7 @@ def _argument_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _argument_parser().parse_args(argv)
 
     if args.program is not None:

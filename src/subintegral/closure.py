@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
 
 from .errors import DimensionMismatch, UnsupportedIdeal
 from .ideals import MonomialIdeal, staircase_corners
@@ -24,7 +23,7 @@ from .newton import ReesValuation, rees_valuations
 from .poly import SparsePoly
 
 
-def _require_finite_colength(ideal: MonomialIdeal) -> List[ReesValuation]:
+def _require_finite_colength(ideal: MonomialIdeal) -> list[ReesValuation]:
     if ideal.is_zero or ideal.is_unit or not ideal.finite_colength:
         raise UnsupportedIdeal("operation needs a proper finite-colength ideal")
     return rees_valuations(ideal)

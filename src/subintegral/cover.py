@@ -14,41 +14,38 @@ injective.  These checks exercise exactly that picture on rational data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Sequence
 
 from .poly import SparsePoly
 from .rrs import RRSSystem
 
 
-@dataclass(frozen=True)
-class MonicHypersurface:
-    """A polynomial monic of degree N in the last variable (the fiber T)."""
+class MonicHypersurface(namedtuple("MonicHypersurface", "space_vars poly degree")):
+    """A polynomial monic of degree N in the last variable (the fiber T);
+    poly lives in space_vars + 1 variables."""
 
-    space_vars: int
-    poly: SparsePoly  # lives in space_vars + 1 variables
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.poly.nvars != self.space_vars + 1:
+    def __new__(cls, space_vars: int, poly: SparsePoly, degree: int):
+        if poly.nvars != space_vars + 1:
             raise ValueError("hypersurface polynomial has wrong variable count")
-        if self.degree < 1:
+        if degree < 1:
             raise ValueError("fiber degree must be >= 1")
-        lead = [
-            (e, c) for e, c in self.poly.items() if e[self.space_vars] == self.degree
-        ]
-        if len(lead) != 1 or any(lead[0][0][: self.space_vars]) or lead[0][1] != 1:
+        lead = [(e, c) for e, c in poly.items() if e[space_vars] == degree]
+        if len(lead) != 1 or any(lead[0][0][:space_vars]) or lead[0][1] != 1:
             raise ValueError("polynomial is not monic of the stated fiber degree")
-        if any(e[self.space_vars] > self.degree for e, _ in self.poly.items()):
+        if any(e[space_vars] > degree for e, _ in poly.items()):
             raise ValueError("terms exceed the stated fiber degree")
+        return super().__new__(cls, space_vars, poly, degree)
 
     @property
     def ell(self) -> int:
         return self.degree // 2
 
-    def specialize(self, x: Sequence) -> List[Fraction]:
+    def specialize(self, x: Sequence) -> list[Fraction]:
         """Coefficients of F(x, T) by ascending T-degree (length N+1)."""
         if len(x) != self.space_vars:
             raise ValueError("base point has wrong length")
@@ -65,7 +62,7 @@ class MonicHypersurface:
 
 
 def from_rrs(
-    system: RRSSystem, lifts: Optional[Sequence[SparsePoly]] = None
+    system: RRSSystem, lifts: Sequence[SparsePoly] | None = None
 ) -> MonicHypersurface:
     """Build T^{2q+1} + sum C(2q+1, i) f_i(X) T^{2q+1-i} from a certificate.
 
@@ -88,7 +85,7 @@ def from_rrs(
     return MonicHypersurface(space_vars=n_space, poly=total, degree=deg)
 
 
-def _eval_derivatives(univ: List[Fraction], t: Fraction, count: int) -> List[Fraction]:
+def _eval_derivatives(univ: list[Fraction], t: Fraction, count: int) -> list[Fraction]:
     """Values of the univariate polynomial and its first `count` derivatives."""
     out = []
     coeffs = list(univ)
@@ -118,7 +115,7 @@ def root_multiplicity(surface: MonicHypersurface, x: Sequence, t) -> int:
     return surface.degree  # monic: full multiplicity caps at the degree
 
 
-def _monic_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd of two nonzero univariate polynomials (ascending coefficients)."""
     while b:
         a, b = b, list(a)
@@ -131,7 +128,7 @@ def _monic_gcd(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
     return [c / a[-1] for c in a]
 
 
-def deep_roots(surface: MonicHypersurface, x: Sequence) -> List[Fraction]:
+def deep_roots(surface: MonicHypersurface, x: Sequence) -> list[Fraction]:
     """Roots of F(x, T) of multiplicity at least floor(N/2) + 1.
 
     Such a root r is unique (two would need more than N roots), so

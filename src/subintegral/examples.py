@@ -11,9 +11,6 @@ pinned expectation, reporting each mismatch by path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
-from typing import Any, List, Optional
 
 from .closure import i_greater, integral_closure
 from .ideals import MonomialIdeal
@@ -23,7 +20,6 @@ from .poly import monomial_string
 from .reductions import (
     PolyIdeal,
     classify_reductions,
-    colength_poly,
     core_via_colon,
     dim_i_mod_igt,
     intersect_star_two,
@@ -33,29 +29,45 @@ from .reductions import (
 )
 
 
-def render_ideal(I: MonomialIdeal, names) -> List[str]:
+def render_ideal(I: MonomialIdeal, names) -> list[str]:
     return [monomial_string(g, names) for g in I.sorted_gens()]
 
 
-@dataclass
 class ExamplesReport:
-    results: dict
-    diffs: List[str] = field(default_factory=list)
+    """The recomputed values of each example, and one line per mismatch."""
+
+    __slots__ = ("results", "diffs")
+
+    def __init__(self, results: dict, diffs: list[str] | None = None):
+        self.results = results
+        self.diffs = [] if diffs is None else diffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.results, self.diffs) == (other.results, other.diffs)
+
+    def __repr__(self) -> str:
+        return f"ExamplesReport(results={self.results!r}, diffs={self.diffs!r})"
 
     @property
     def ok(self) -> bool:
         return not self.diffs
 
 
-def _load_expectations(path: Optional[str]) -> dict:
+def _load_expectations(path: str | None) -> dict:
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
+    # Only this reader needs the package data, so the slow import of
+    # importlib.resources waits until a run of the examples reads it.
+    from importlib import resources
+
     data = resources.files("subintegral").joinpath("data/worked_examples.json")
     return json.loads(data.read_text(encoding="utf-8"))
 
 
-def _compute_check(key: str, expect: Any, I: MonomialIdeal, ring) -> Any:
+def _compute_check(key: str, expect: object, I: MonomialIdeal, ring) -> object:
     names = tuple(ring)
     if key == "newton":
         np = newton_polyhedron(I)
@@ -130,7 +142,7 @@ def _compute_check(key: str, expect: Any, I: MonomialIdeal, ring) -> Any:
     raise KeyError(f"unknown expectation key {key!r}")
 
 
-def _diff(path: str, expected: Any, got: Any, out: List[str]) -> None:
+def _diff(path: str, expected: object, got: object, out: list[str]) -> None:
     if isinstance(expected, dict) and isinstance(got, dict):
         for key in sorted(set(expected) | set(got)):
             if key not in expected:
@@ -151,11 +163,11 @@ def _diff(path: str, expected: Any, got: Any, out: List[str]) -> None:
         out.append(f"{path}: expected {expected!r}, got {got!r}")
 
 
-def run_worked_examples(expect_path: Optional[str] = None) -> ExamplesReport:
+def run_worked_examples(expect_path: str | None = None) -> ExamplesReport:
     """Recompute both built-in examples and diff against the pinned data."""
     data = _load_expectations(expect_path)
     results: dict = {}
-    diffs: List[str] = []
+    diffs: list[str] = []
     for example in data["examples"]:
         name = example["name"]
         ring = tuple(example["ring"])

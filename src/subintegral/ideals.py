@@ -10,9 +10,9 @@ generated by the zero exponent.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence, Tuple
 
 from .errors import DimensionMismatch
 from .poly import Exponent, SparsePoly, monomial_string
@@ -23,7 +23,7 @@ def _dominates(a: Exponent, b: Exponent) -> bool:
     return all(x >= y for x, y in zip(a, b))
 
 
-def _antichain(exponents: Iterable[Exponent]) -> Tuple[Exponent, ...]:
+def _antichain(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
     ordered = sorted(set(exponents))
     kept: list[Exponent] = []
     if ordered and len(ordered[0]) == 2:
@@ -42,7 +42,7 @@ def _antichain(exponents: Iterable[Exponent]) -> Tuple[Exponent, ...]:
 
 def staircase_walk(
     bounds: Sequence[int], least: Callable[[Exponent], int]
-) -> Iterator[Tuple[Exponent, int]]:
+) -> Iterator[tuple[Exponent, int]]:
     """Pair each prefix p of the box range(b_1) x ... x range(b_{n-1}) with
     least(p), the least last exponent of the up-set above p, lazily and in
     lex order."""

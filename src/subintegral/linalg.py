@@ -9,10 +9,10 @@ column order.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Sequence
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-Row = Dict[Hashable, Fraction]
+Row = dict[Hashable, Fraction]
 
 
 def _clean(row: Row) -> Row:
@@ -40,7 +40,7 @@ class Echelon:
     """
 
     def __init__(self, rows: Iterable[Row] = ()):
-        self.pivots: Dict[Hashable, Row] = {}
+        self.pivots: dict[Hashable, Row] = {}
         self._reduced = True
         for row in rows:
             self.add_row(row)
@@ -113,7 +113,7 @@ class Echelon:
             pivots[lead] = row
         self._reduced = True
 
-    def rows(self) -> List[Row]:
+    def rows(self) -> list[Row]:
         """Reduced row echelon basis, sorted by pivot column."""
         self._back_substitute()
         return [dict(self.pivots[c]) for c in sorted(self.pivots)]
@@ -123,7 +123,7 @@ class Echelon:
         return self.rows() == other.rows()
 
 
-def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> List[Row]:
+def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> list[Row]:
     """Basis of the intersection of two row spaces (Zassenhaus block trick).
 
     Columns are tagged (0, c) and (1, c); rows [a | a] and [b | 0] are
@@ -146,8 +146,8 @@ def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> List[R
 
 
 def solve_sparse(
-    equations: Sequence[Tuple[Row, Fraction]],
-) -> Dict[Hashable, Fraction] | None:
+    equations: Sequence[tuple[Row, Fraction]],
+) -> dict[Hashable, Fraction] | None:
     """Particular solution of a sparse linear system (free unknowns set to 0).
 
     Each equation is (coefficient row over unknown keys, right-hand side).
@@ -174,7 +174,7 @@ def solve_sparse(
       in which rows are inserted, so leaving out the homogeneous blocks
       changes no value.
     """
-    parent: Dict[Hashable, Hashable] = {}
+    parent: dict[Hashable, Hashable] = {}
 
     def find(key: Hashable) -> Hashable:
         while parent[key] != key:
@@ -211,7 +211,7 @@ def solve_sparse(
     # Row p reads x_p + sum(row[q] * x_q) = rhs over columns q > p, and the
     # free unknowns are 0, so visiting the pivots in decreasing order finds
     # every x_q it needs already solved.  Only the rhs column is read.
-    values: Dict[Hashable, Fraction] = {}
+    values: dict[Hashable, Fraction] = {}
     for p in sorted(pivots, reverse=True):
         row = pivots[p]
         x = row.get((1,), Fraction(0))

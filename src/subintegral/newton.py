@@ -19,38 +19,36 @@ v_w(x^a) = <w, a> with v_w(I) the facet value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import List, Sequence, Tuple
 
 from .errors import UnsupportedIdeal
 from .ideals import MonomialIdeal
 from .poly import Exponent, SparsePoly
 
 
-@dataclass(frozen=True)
-class Facet:
-    normal: Tuple[int, ...]
-    value: int
-    bounded: bool
+class Facet(namedtuple("Facet", "normal value bounded")):
+    """The facet <normal, x> >= value of NP(I); bounded iff normal > 0."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
-    nvars: int
-    vertices: Tuple[Exponent, ...]
-    facets: Tuple[Facet, ...]
+class NewtonPolyhedron(namedtuple("NewtonPolyhedron", "nvars vertices facets")):
+    """Vertices (generator exponents) and facets of NP(I), both sorted."""
 
-    def bounded_facets(self) -> Tuple[Facet, ...]:
+    __slots__ = ()
+
+    def bounded_facets(self) -> tuple[Facet, ...]:
         return tuple(f for f in self.facets if f.bounded)
 
 
-@dataclass(frozen=True)
-class ReesValuation:
-    weight: Tuple[int, ...]
-    value_on_ideal: int
+class ReesValuation(namedtuple("ReesValuation", "weight value_on_ideal")):
+    """The monomial valuation v(x^a) = <weight, a>, with v(I) = value_on_ideal."""
+
+    __slots__ = ()
 
     def value_of_exponent(self, exponent: Sequence[int]) -> int:
         return sum(w * e for w, e in zip(self.weight, exponent))
@@ -69,12 +67,12 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _primitive(vector: Sequence[int]) -> Tuple[int, ...]:
+def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
     g = gcd(*vector)
     return tuple(v // g for v in vector)
 
 
-def extreme_rays(gens: Sequence[Exponent]) -> List[Tuple[int, ...]]:
+def extreme_rays(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
     """Extreme rays, sorted, of the dual cone {a : <c, a> >= 0 for all c},
     where c runs over the n coordinate constraints (e_i, 0) and one
     constraint (g, 1) per exponent g of the nonempty list `gens`.
@@ -150,7 +148,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     if ideal.is_zero:
         raise UnsupportedIdeal("the zero ideal has no Newton polyhedron")
     n = ideal.nvars
-    facets: List[Facet] = []
+    facets: list[Facet] = []
     for ray in extreme_rays(ideal.gens):
         w, last = ray[:n], ray[n]
         if not any(w):
@@ -168,7 +166,7 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(nvars=n, vertices=tuple(sorted(vertices)), facets=tuple(facets))
 
 
-def rees_valuations(ideal: MonomialIdeal) -> List[ReesValuation]:
+def rees_valuations(ideal: MonomialIdeal) -> list[ReesValuation]:
     """One monomial valuation per bounded facet, ordered by weight.
 
     Restricted to finite-colength ideals, where the bounded facets are in

@@ -14,9 +14,9 @@ Diagnostics carry line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
 
 from .errors import ParseError
 from .ideals import MonomialIdeal
@@ -49,16 +49,14 @@ COMMANDS = {
 }
 
 
-@dataclass
-class Token:
-    kind: str  # 'name', 'int', 'punct'
-    text: str
-    line: int
-    column: int
+class Token(namedtuple("Token", "kind text line column")):
+    """One token: its kind ('name', 'int' or 'punct'), text and position."""
+
+    __slots__ = ()
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -103,22 +101,19 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
-@dataclass
-class Request:
-    """One parsed command with resolved operands."""
+class Request(namedtuple("Request", "command ring ideals polys subcommand")):
+    """One parsed command with resolved operands: the ring's variable
+    names, the ideal and polynomial operands as lists in program order, and
+    the subcommand word or None."""
 
-    command: str
-    ring: Tuple[str, ...]
-    ideals: List[MonomialIdeal | PolyIdeal] = field(default_factory=list)
-    polys: List[SparsePoly] = field(default_factory=list)
-    subcommand: Optional[str] = None
+    __slots__ = ()
 
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.ring: Tuple[str, ...] = ()
+        self.ring: tuple[str, ...] = ()
         self.ideal_env: dict[str, MonomialIdeal | PolyIdeal] = {}
         self.poly_env: dict[str, SparsePoly] = {}
 
@@ -144,8 +139,8 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_program(self) -> List[Request]:
-        requests: List[Request] = []
+    def parse_program(self) -> list[Request]:
+        requests: list[Request] = []
         while self.peek().text != "<eof>":
             if self.peek().text == ";":
                 self.next()
@@ -155,7 +150,7 @@ class _Parser:
                 requests.append(req)
         return requests
 
-    def statement(self) -> Optional[Request]:
+    def statement(self) -> Request | None:
         tok = self.peek()
         if tok.text == "ring":
             self.ring_decl()
@@ -171,7 +166,7 @@ class _Parser:
             return self.command(cmd)
         self.fail(f"expected a declaration or command, found {tok.text!r}")
 
-    def _command_name(self) -> Optional[str]:
+    def _command_name(self) -> str | None:
         """Greedily assemble a hyphenated command name at statement start."""
         tok = self.peek()
         if tok.kind != "name":
@@ -269,7 +264,7 @@ class _Parser:
         """A parenthesized generator list; monomial generators (up to a
         rational unit) make a MonomialIdeal, anything else a PolyIdeal."""
         self.expect("(")
-        gens: List[SparsePoly] = []
+        gens: list[SparsePoly] = []
         while True:
             gens.append(self.poly_expr())
             if self.peek().text == ",":
@@ -345,7 +340,9 @@ class _Parser:
 
     def command(self, cmd: str) -> Request:
         """Read the operands of cmd, slot by slot, from its shape."""
-        req = Request(command=cmd, ring=self.ring)
+        ideals: list[MonomialIdeal | PolyIdeal] = []
+        polys: list[SparsePoly] = []
+        subcommand = None
         shape = COMMANDS[cmd].split()
         if shape:
             self.require_ring()
@@ -360,9 +357,9 @@ class _Parser:
                 ideal = self.ideal_operand()
                 if word == "I" and not isinstance(ideal, MonomialIdeal):
                     raise ParseError(f"{cmd} needs a monomial ideal", start.line, start.column)
-                req.ideals.append(ideal)
+                ideals.append(ideal)
             elif word == "h":
-                req.polys.append(self.poly_operand())
+                polys.append(self.poly_operand())
             elif "|" in word:
                 *others, last = choices = word.split("|")
                 sub = self.next()
@@ -370,13 +367,13 @@ class _Parser:
                     raise ParseError(
                         f"expected {', '.join(others)}, or {last}", sub.line, sub.column
                     )
-                req.subcommand = sub.text
+                subcommand = sub.text
             else:
                 self.expect(word)
-        return req
+        return Request(cmd, self.ring, ideals, polys, subcommand)
 
 
-def parse(text: str) -> List[Request]:
+def parse(text: str) -> list[Request]:
     """Parse a full program into a list of command requests."""
     return _Parser(text).parse_program()
 

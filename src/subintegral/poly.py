@@ -12,15 +12,15 @@ returns a fresh polynomial, so values can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
 
-Exponent = Tuple[int, ...]
+Exponent = tuple[int, ...]
 
 _DEFAULT_NAMES = ("x", "y", "z", "w")
 
 
-def default_names(nvars: int) -> Tuple[str, ...]:
+def default_names(nvars: int) -> tuple[str, ...]:
     if nvars <= len(_DEFAULT_NAMES):
         return _DEFAULT_NAMES[:nvars]
     return tuple(f"x{i + 1}" for i in range(nvars))
@@ -29,9 +29,9 @@ def default_names(nvars: int) -> Tuple[str, ...]:
 class SparsePoly:
     __slots__ = ("nvars", "_terms")
 
-    def __init__(self, nvars: int, terms: Dict[Exponent, Fraction] | None = None):
+    def __init__(self, nvars: int, terms: dict[Exponent, Fraction] | None = None):
         self.nvars = nvars
-        clean: Dict[Exponent, Fraction] = {}
+        clean: dict[Exponent, Fraction] = {}
         for exp, coeff in (terms or {}).items():
             coeff = Fraction(coeff)
             if coeff == 0:
@@ -70,14 +70,14 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def items(self) -> Iterable[Tuple[Exponent, Fraction]]:
+    def items(self) -> Iterable[tuple[Exponent, Fraction]]:
         return self._terms.items()
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical for printing)."""
         return sorted(self._terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
-    def exponents(self) -> Tuple[Exponent, ...]:
+    def exponents(self) -> tuple[Exponent, ...]:
         return tuple(sorted(self._terms))
 
     def coefficient(self, exponent: Sequence[int]) -> Fraction:
@@ -132,7 +132,7 @@ class SparsePoly:
                 return SparsePoly.zero(self.nvars)
             return SparsePoly(self.nvars, {e: c * other for e, c in self._terms.items()})
         other = self._coerce(other)
-        terms: Dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
@@ -208,7 +208,7 @@ class SparsePoly:
         return result
 
     def derivative(self, var: int) -> "SparsePoly":
-        terms: Dict[Exponent, Fraction] = {}
+        terms: dict[Exponent, Fraction] = {}
         for exp, coeff in self._terms.items():
             e = exp[var]
             if e == 0:

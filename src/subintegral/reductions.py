@@ -7,7 +7,8 @@ Parameter (possibly non-monomial) candidates are tested through the
 multiplicity criterion: an n-generated m-primary J inside I is a reduction
 iff its colength equals the multiplicity of I, and the colength is computed
 by exact linear algebra in truncations A/m^N, with N grown until the
-dimension stabilizes (which forces m^N into J).
+dimension stabilizes (which forces m^N into J) or exceeds the multiplicity
+(which rules J out, the colength being at least that dimension).
 
 For a minimal reduction J of a finite-colength I the weak subintegral
 closure of J is J + i_greater(I); membership is decided exactly in a
@@ -17,11 +18,11 @@ truncation A/m^N once m^N lies inside i_greater(I).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import product
 from math import factorial
-from typing import Iterable, List, Optional, Tuple
 
 from .closure import facet_staircase, i_greater, integral_closure
 from .errors import (
@@ -37,18 +38,17 @@ from .newton import newton_polyhedron
 from .poly import Exponent, SparsePoly
 
 
-@dataclass(frozen=True)
-class PolyIdeal:
+class PolyIdeal(namedtuple("PolyIdeal", "nvars gens")):
     """A finitely generated polynomial ideal, used in m-primary workflows."""
 
-    nvars: int
-    gens: Tuple[SparsePoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.gens:
+    def __new__(cls, nvars: int, gens: tuple[SparsePoly, ...]):
+        if not gens:
             raise ValueError("PolyIdeal needs at least one generator")
-        if any(g.nvars != self.nvars for g in self.gens):
+        if any(g.nvars != nvars for g in gens):
             raise DimensionMismatch("generator lives in the wrong ring")
+        return super().__new__(cls, nvars, gens)
 
     @classmethod
     def from_monomial(cls, ideal: MonomialIdeal) -> "PolyIdeal":
@@ -58,7 +58,7 @@ class PolyIdeal:
         return "(" + ", ".join(g.to_string(names) for g in self.gens) + ")"
 
 
-def _box_monomials(nvars: int, below: int) -> List[Exponent]:
+def _box_monomials(nvars: int, below: int) -> list[Exponent]:
     """All exponents of total degree < below, in graded-lex order."""
     out = [
         e
@@ -114,7 +114,7 @@ class TruncatedQuotient:
     def quotient_dim(self) -> int:
         return len(_box_monomials(self.nvars, self.order)) - self.echelon.rank
 
-    def basis_rows(self) -> List[SparsePoly]:
+    def basis_rows(self) -> list[SparsePoly]:
         return [SparsePoly(self.nvars, row) for row in self.echelon.rows()]
 
     def same_row_space(self, other: "TruncatedQuotient") -> bool:
@@ -165,7 +165,7 @@ def multiplicity(I: MonomialIdeal) -> int:
     return int(result)
 
 
-def _cone_volume(n: int, verts: List[Exponent]) -> Fraction:
+def _cone_volume(n: int, verts: list[Exponent]) -> Fraction:
     if n == 1:
         (v,) = verts
         return Fraction(v[0])
@@ -188,7 +188,7 @@ def _det3(a, b, c) -> int:
     )
 
 
-def _polygon_order(verts: List[Exponent]) -> List[Exponent]:
+def _polygon_order(verts: list[Exponent]) -> list[Exponent]:
     """Cyclic order of the vertices of a planar convex polygon in 3-space
     with strictly positive normal: project out z and walk the 2D hull."""
     flat = {(v[0], v[1]): v for v in verts}
@@ -212,16 +212,19 @@ def _polygon_order(verts: List[Exponent]) -> List[Exponent]:
     return [flat[p] for p in cycle]
 
 
-def colength_poly(J: PolyIdeal, cap: int = 64) -> int:
+def colength_poly(J: PolyIdeal, cap: int = 64, stop_above: int | None = None) -> int:
     """Colength of an m-primary polynomial ideal by truncation stabilization.
 
-    dim A/(J + m^N) is computed for growing N; two equal consecutive values
-    force m^N inside J locally (Nakayama), so the dimension has converged.
+    d_N = dim A/(J + m^N) is computed for growing N; two equal consecutive
+    values force m^N inside J locally (Nakayama), so the dimension has
+    converged.  Every d_N is at most the colength, so with `stop_above` the
+    walk ends at the first d_N > stop_above and returns that d_N, which the
+    colength (infinite when J is not m-primary) exceeds as well.
     """
-    prev: Optional[int] = None
+    prev: int | None = None
     for order in range(1, cap + 1):
         dim = TruncatedQuotient(J.nvars, order, J.gens).quotient_dim()
-        if prev is not None and dim == prev:
+        if dim == prev or (stop_above is not None and dim > stop_above):
             return dim
         prev = dim
     raise BudgetExceeded(
@@ -231,7 +234,25 @@ def colength_poly(J: PolyIdeal, cap: int = 64) -> int:
 
 
 def is_reduction_parameter(J: PolyIdeal, I: MonomialIdeal) -> bool:
-    """Multiplicity criterion for an n-generated parameter ideal J in I."""
+    """Multiplicity criterion for an n-generated parameter ideal J in I.
+
+    Write A for the polynomial ring localized at the origin and
+    d_N = dim A/(J + m^N).  Then:
+
+    - l(A/J) >= d_N for every N, since J lies inside J + m^N.
+    - If J is m-primary, it is generated by a system of parameters of the
+      regular, hence Cohen-Macaulay, ring A, so l(A/J) = e(J).  And J inside
+      I gives e(J) >= e(I), with equality iff J is a reduction of I (Rees
+      1961).  So J is a reduction iff l(A/J) = e(I).
+    - If J is not m-primary, it is no reduction (a reduction has the radical
+      of I), and l(A/J) is infinite.
+
+    So d_N > e(I) proves that J is not a reduction, and the walk stops
+    there.  Before it stabilizes, d_N grows strictly from d_1 = 1: an equal
+    step d_(N+1) = d_N puts m^N inside J + m^(N+1), hence inside J
+    (Nakayama).  So the walk takes at most e(I) + 1 truncations, and the cap
+    of colength_poly binds only when e(I) >= 64.
+    """
     if J.nvars != I.nvars:
         raise DimensionMismatch("mixed variable counts")
     if len(J.gens) != I.nvars:
@@ -241,7 +262,8 @@ def is_reduction_parameter(J: PolyIdeal, I: MonomialIdeal) -> bool:
             raise PreconditionError(
                 "parameter generator is not contained in the ideal termwise"
             )
-    return colength_poly(J) == multiplicity(I)
+    e = multiplicity(I)
+    return colength_poly(J, stop_above=e) == e
 
 
 def core_via_colon(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -266,15 +288,13 @@ def igt_truncation_order(I: MonomialIdeal) -> int:
     )
 
 
-@dataclass(frozen=True)
-class StarOfReduction:
-    """Membership handle for J + i_greater(I), exact in A/m^N."""
+class StarOfReduction(
+    namedtuple("StarOfReduction", "reduction ideal igt order quotient")
+):
+    """Membership handle for J + i_greater(I), exact in A/m^N: the reduction
+    J, the ideal I, i_greater(I), the order N and the TruncatedQuotient."""
 
-    reduction: PolyIdeal
-    ideal: MonomialIdeal
-    igt: MonomialIdeal
-    order: int
-    quotient: TruncatedQuotient
+    __slots__ = ()
 
     def contains(self, h: SparsePoly) -> bool:
         return self.quotient.contains(h)
@@ -329,11 +349,11 @@ def dim_i_mod_igt(I: MonomialIdeal) -> int:
     return len(seen)
 
 
-def _facet_lattice_points(normal: Tuple[int, ...], value: int):
+def _facet_lattice_points(normal: tuple[int, ...], value: int):
     """Nonnegative integer points with <normal, e> == value (normal > 0)."""
     n = len(normal)
 
-    def rec(i: int, remaining: int, prefix: Tuple[int, ...]):
+    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
         if i == n - 1:
             if remaining % normal[i] == 0:
                 yield prefix + (remaining // normal[i],)

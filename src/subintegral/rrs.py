@@ -19,11 +19,11 @@ certifying anything: not-found is inconclusive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import product
 from math import comb
-from typing import List, Optional, Sequence, Tuple
 
 from .closure import in_i_greater
 from .errors import BudgetExceeded, PreconditionError
@@ -33,26 +33,27 @@ from .poly import SparsePoly
 
 # A polynomial in the auxiliary variable T whose coefficients are ring
 # elements: entry j is the coefficient of T^j.
-TPoly = Tuple[SparsePoly, ...]
+TPoly = tuple[SparsePoly, ...]
 
 
-@dataclass(frozen=True)
-class RRSSystem:
-    q: int
-    coeffs: Tuple[SparsePoly, ...]  # a_1 .. a_{2q+1}
+class RRSSystem(namedtuple("RRSSystem", "q coeffs")):
+    """A certificate: q and the coefficients a_1 .. a_{2q+1}."""
 
-    def __post_init__(self):
-        if len(self.coeffs) != 2 * self.q + 1:
+    __slots__ = ()
+
+    def __new__(cls, q: int, coeffs: tuple[SparsePoly, ...]):
+        if len(coeffs) != 2 * q + 1:
             raise ValueError("need exactly 2q+1 coefficients")
+        return super().__new__(cls, q, coeffs)
 
     @property
     def window(self) -> range:
         return range(self.q + 1, 2 * self.q + 2)
 
 
-def window_equations(system: RRSSystem) -> List[TPoly]:
+def window_equations(system: RRSSystem) -> list[TPoly]:
     """The window polynomials F_n(T) = T^n + sum C(n,i) a_i T^{n-i}."""
-    out: List[TPoly] = []
+    out: list[TPoly] = []
     nvars = system.coeffs[0].nvars
     for n in system.window:
         coeffs = [SparsePoly.zero(nvars) for _ in range(n + 1)]
@@ -72,7 +73,7 @@ def _eval_identity(h: SparsePoly, system: RRSSystem, n: int) -> SparsePoly:
 
 def verify_failure(
     h: SparsePoly, system: RRSSystem, ideal: MonomialIdeal
-) -> Optional[str]:
+) -> str | None:
     """None when the certificate is valid; otherwise the first failure."""
     for n in system.window:
         if not _eval_identity(h, system, n).is_zero:
@@ -121,7 +122,7 @@ def construct_from_igt(
         raise BudgetExceeded(f"no certificate window found with q <= {q_max}")
 
     nvars = a.nvars
-    coeffs: List[SparsePoly] = [SparsePoly.zero(nvars) for _ in range(2 * q + 1)]
+    coeffs: list[SparsePoly] = [SparsePoly.zero(nvars) for _ in range(2 * q + 1)]
     coeffs[q] = -apow(q + 1)
     for i in range(2, q + 2):
         total = apow(q + i)
@@ -135,7 +136,7 @@ def construct_from_igt(
     return system
 
 
-def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> List[Tuple[int, ...]]:
+def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> list[tuple[int, ...]]:
     """Exponents of the monomials of the ideal of total degree <= max_degree,
     in lex order.  Above each prefix p of the first n - 1 exponents they run
     from the least last exponent of a generator below p up to max_degree - |p|."""
@@ -152,7 +153,7 @@ def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> List[Tuple[int, ...]
 
 def search_at(
     h: SparsePoly, ideal: MonomialIdeal, q: int, degree_slack: int
-) -> Optional[RRSSystem]:
+) -> RRSSystem | None:
     """Solve the window identities at a fixed q with unknown coefficients.
 
     Unknowns are the coefficients of each a_i over the monomials of I^i of
@@ -170,12 +171,12 @@ def search_at(
     for n in range(1, 2 * q + 2):
         h_powers[n] = h_powers[n - 1] * h
 
-    equations: dict[Tuple[int, Tuple[int, ...]], dict] = {}
+    equations: dict[tuple[int, tuple[int, ...]], dict] = {}
 
-    def eq_row(n: int, exp: Tuple[int, ...]) -> dict:
+    def eq_row(n: int, exp: tuple[int, ...]) -> dict:
         return equations.setdefault((n, exp), {})
 
-    rhs: dict[Tuple[int, Tuple[int, ...]], Fraction] = {}
+    rhs: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for n in range(q + 1, 2 * q + 2):
         for exp, c in h_powers[n].items():
             rhs[(n, exp)] = rhs.get((n, exp), Fraction(0)) + c
@@ -215,7 +216,7 @@ def bounded_search(
     ideal: MonomialIdeal,
     q_max: int = 6,
     degree_slack: int | None = None,
-) -> Optional[RRSSystem]:
+) -> RRSSystem | None:
     """First certificate found scanning q = 0, 1, ..., q_max.
 
     The degree cutoff (default slack: twice deg h) is a completeness

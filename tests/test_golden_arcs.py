@@ -19,7 +19,9 @@ import sys
 
 import pytest
 
-from subintegral.cli import main
+from subintegral.cli import Options, main, run
+from subintegral.errors import ClosureError
+from subintegral.parser import parse
 
 GOLDEN = pathlib.Path(__file__).with_name("golden") / "arc_reports.json"
 ARGS = ["--json", "--seed", "0", "--budget", "100"]
@@ -57,6 +59,10 @@ PROGRAMS = [
     # reduction: monomial J (Newton polyhedra), parameter J (multiplicity)
     "ring QQ[x,y]; reduction (x^2, y^3) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; reduction (x^2 + x*y, y^2) in (x^2, x*y, y^2)",
+    # linearly dependent parameter generators: not m-primary, so decided by
+    # the first colength bound above the multiplicity
+    "ring QQ[x,y]; reduction (x^4 + y^4, 2*x^4 + 2*y^4) in (x^4, y^4)",
+    "ring QQ[x,y,z]; reduction (x^2 + y^2, y^2 + z^2, z^2 - x^2) in (x^2, y^2, z^2)",
     "ring QQ[x,y]; core (x^2, x*y^2, y^3) with (x^2, y^3)",
     "ring QQ[x,y]; star-min-red (x^2, y^3) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; star-min-red (x^3, y^3) in (x^3, x^2*y, x*y^2, y^3) "
@@ -103,6 +109,27 @@ def test_report_matches_golden(program):
 
 def test_golden_covers_every_program():
     assert sorted(load_golden()) == sorted(PROGRAMS)
+
+
+def plain_json(value):
+    """True when json.dumps needs no `default` for the value: only dicts
+    with string keys, lists, strings, numbers, booleans and None.  A record
+    (a tuple subclass) would be written as an array without notice."""
+    if type(value) is dict:
+        return all(type(k) is str and plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(plain_json(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+def test_reports_hold_only_plain_json_values():
+    for program in PROGRAMS:
+        for req in parse(program):
+            try:
+                report = run(req, Options(seed=0, budget=100))
+            except ClosureError:
+                continue
+            assert plain_json(report), program
 
 
 if __name__ == "__main__":

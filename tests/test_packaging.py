@@ -33,3 +33,24 @@ def test_import_loads_only_the_standard_library():
     loaded = set(json.loads(proc.stdout))
     assert "subintegral" in loaded
     assert loaded - {"subintegral"} <= set(sys.stdlib_module_names)
+
+
+# Standard-library modules that the CLI used to load at start-up and no
+# longer needs: dataclasses (with inspect) built its records, typing served
+# annotations, and importlib.resources is read only by the worked examples.
+SLOW_AT_IMPORT = ["dataclasses", "inspect", "typing", "importlib.resources"]
+STARTUP_PROBE = """
+import json, sys
+import subintegral.cli
+print(json.dumps([name for name in sys.argv[1:] if name in sys.modules]))
+"""
+
+
+def test_cli_import_leaves_slow_modules_unloaded():
+    src = str(pathlib.Path(subintegral.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STARTUP_PROBE, *SLOW_AT_IMPORT], env=env,
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert json.loads(proc.stdout) == []

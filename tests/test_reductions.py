@@ -5,10 +5,12 @@ import random
 import pytest
 
 from subintegral import (
+    BudgetExceeded,
     MonomialIdeal,
     PolyIdeal,
     PreconditionError,
     ReductionsClass,
+    UnsupportedIdeal,
     classify_reductions,
     colength_poly,
     core_via_colon,
@@ -108,6 +110,27 @@ class TestParameterReduction:
         J = PolyIdeal(2, (X * X * X, Y * Y))
         assert colength_poly(J) == 6
         assert not is_reduction_parameter(J, DEGREE2)
+
+    def test_dependent_generators_stop_above_the_multiplicity(self):
+        # J = (x^4 + y^4, 2x^4 + 2y^4) is not m-primary: d_N = dim A/(J + m^N)
+        # reads 1, 3, 6, 10, 14, 18, ... and never stabilizes, so the walk
+        # stops at d_6 = 18, the first value above e(I) = 16.
+        J = PolyIdeal(2, (X**4 + Y**4, 2 * X**4 + 2 * Y**4))
+        I = ideal((4, 0), (0, 4))
+        assert colength_poly(J, stop_above=16) == 18
+        with pytest.raises(BudgetExceeded):
+            colength_poly(J, cap=8)
+        assert not is_reduction_parameter(J, I)
+
+    def test_multiplicity_is_checked_before_the_walk(self):
+        # Four variables have no multiplicity yet; the walk, which would run
+        # to its cap on these dependent generators, never starts.
+        squares = [SparsePoly.monomial(tuple(2 * (i == j) for j in range(4))) for i in range(4)]
+        x2, y2, z2, w2 = squares
+        J = PolyIdeal(4, (x2, y2, x2 + y2, z2 + w2))
+        I = MonomialIdeal(4, [sq.exponents()[0] for sq in squares])
+        with pytest.raises(UnsupportedIdeal):
+            is_reduction_parameter(J, I)
 
     def test_agrees_with_monomial_test(self):
         rng = random.Random(67)
