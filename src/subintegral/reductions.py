@@ -10,6 +10,9 @@ by exact linear algebra in truncations A/m^N, with N grown until the
 dimension stabilizes (which forces m^N into J) or exceeds the multiplicity
 (which rules J out, the colength being at least that dimension).
 
+The multiplicity, in any number of variables, sums the integer |det| of
+the simplices of a pulling triangulation of the bounded facets of NP(I).
+
 For a minimal reduction J of a finite-colength I the weak subintegral
 closure of J is J + i_greater(I); membership is decided exactly in a
 truncation A/m^N once m^N lies inside i_greater(I).
@@ -22,7 +25,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb
 
 from .closure import facet_staircase, i_greater, integral_closure
 from .errors import (
@@ -34,7 +37,7 @@ from .errors import (
 )
 from .ideals import MonomialIdeal, staircase_walk
 from .linalg import Echelon, Row, intersect_row_spaces
-from .newton import newton_polyhedron
+from .newton import _dot, newton_polyhedron
 from .poly import Exponent, SparsePoly
 
 
@@ -88,10 +91,11 @@ class TruncatedQuotient:
         if rows is not None:
             for row in rows:
                 self.echelon.add_row(dict(row))
+        box = _box_monomials(nvars, order)
         for g in generators:
             if g.nvars != nvars:
                 raise DimensionMismatch("generator lives in the wrong ring")
-            for e in _box_monomials(nvars, order):
+            for e in box:
                 shifted = self._truncate_shift(g, e)
                 if shifted:
                     self.echelon.add_row(shifted)
@@ -112,7 +116,7 @@ class TruncatedQuotient:
         return self.echelon.contains(self.truncate(f))
 
     def quotient_dim(self) -> int:
-        return len(_box_monomials(self.nvars, self.order)) - self.echelon.rank
+        return comb(self.nvars + self.order - 1, self.nvars) - self.echelon.rank
 
     def basis_rows(self) -> list[SparsePoly]:
         return [SparsePoly(self.nvars, row) for row in self.echelon.rows()]
@@ -140,76 +144,63 @@ def is_reduction_monomial(J: MonomialIdeal, I: MonomialIdeal) -> bool:
 
 
 def multiplicity(I: MonomialIdeal) -> int:
-    """n! times the covolume of the Newton polyhedron, computed exactly.
+    """e(I) = n! vol(C), C the orthant minus NP(I): the sum of
+    |det(v_1, ..., v_n)| over the simplices of a pulling triangulation of
+    the bounded facets.
 
-    The complement of NP(I) in the orthant is star-shaped from the origin,
-    so the covolume is the sum of the cone volumes over the bounded facets.
+    - Cones.  Bounded facets <w, x> >= v have v > 0 (NP misses 0), and no
+      other facet has (NP meets each axis).  A ray from 0 enters NP on a
+      facet with v > 0, so C is the union of the cones conv(0, F) over the
+      bounded facets F, overlapping only over conv(0, F & F'), of volume 0.
+    - Facets of a face.  Faces are vertex masks, a bounded face being the
+      hull of its vertices.  For a bounded face S and a facet H of NP, S & H
+      is a face of S.  A facet G of S is a face of NP, so the intersection
+      of the facets of NP holding it, one of which, H, misses part of S; and
+      G <= S & H < S gives G = S & H.  So the facets of S are the maximal
+      nonempty proper S & H.
+    - Pulling.  With a the least vertex of S, the ray from a through x in S
+      leaves S at one point, on a facet inequality tight there and slack at
+      a, so on a facet G of S without a.  So the cones conv(a, G) cover S,
+      overlapping in lower dimension, and recursing into each G (a vertex
+      is its own simplex) cuts S into simplices of dim S + 1 vertices.
+    - Volume.  e_i -> v_i maps conv(0, e_1, ..., e_n), of volume 1/n!,
+      onto conv(0, v_1, ..., v_n) and scales volume by |det(v_1, ..., v_n)|.
     """
-    if I.nvars > 3:
-        raise UnsupportedIdeal("multiplicity implemented for at most 3 variables")
     if I.is_zero or I.is_unit or not I.finite_colength:
         raise UnsupportedIdeal("multiplicity needs a proper finite-colength ideal")
     np = newton_polyhedron(I)
-    n = I.nvars
-    covol = Fraction(0)
-    for facet in np.bounded_facets():
-        verts = [
-            v
-            for v in np.vertices
-            if sum(w * e for w, e in zip(facet.normal, v)) == facet.value
-        ]
-        covol += _cone_volume(n, verts)
-    result = factorial(n) * covol
-    if result.denominator != 1:
-        raise AssertionError("covolume times n! must be an integer")
-    return int(result)
-
-
-def _cone_volume(n: int, verts: list[Exponent]) -> Fraction:
-    if n == 1:
-        (v,) = verts
-        return Fraction(v[0])
-    if n == 2:
-        a, b = verts
-        return Fraction(abs(a[0] * b[1] - a[1] * b[0]), 2)
-    ordered = _polygon_order(verts)
-    total = Fraction(0)
-    v0 = ordered[0]
-    for a, b in zip(ordered[1:], ordered[2:]):
-        total += Fraction(abs(_det3(v0, a, b)), 6)
-    return total
-
-
-def _det3(a, b, c) -> int:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    tight = [[_dot(f.normal, v) == f.value for v in np.vertices] for f in np.facets]
+    masks = [sum(1 << i for i, t in enumerate(row) if t) for row in tight]
+    return sum(
+        abs(_det([v for i, v in enumerate(np.vertices) if simplex >> i & 1]))
+        for f, mask in zip(np.facets, masks) if f.bounded
+        for simplex in _pulling(mask, masks)
     )
 
 
-def _polygon_order(verts: list[Exponent]) -> list[Exponent]:
-    """Cyclic order of the vertices of a planar convex polygon in 3-space
-    with strictly positive normal: project out z and walk the 2D hull."""
-    flat = {(v[0], v[1]): v for v in verts}
-    pts = sorted(flat)
-    if len(pts) <= 2:
-        return [flat[p] for p in pts]
+def _pulling(face: int, facets: list[int]) -> list[int]:
+    """Simplices of the pulling triangulation of a bounded face, a vertex
+    being its own; faces, simplices and `facets` (NP's) are vertex masks."""
+    apex = face & -face
+    cuts = {face & f for f in facets} - {0, face}
+    pulled = [g for g in cuts if not g & apex and not any(g != h and g & h == g for h in cuts)]
+    return [apex | simplex for g in pulled for simplex in _pulling(g, facets)] or [face]
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower, upper = [], []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    cycle = lower[:-1] + upper[:-1]
-    return [flat[p] for p in cycle]
+def _det(rows: list[Exponent]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination, whose
+    divisions by the previous pivot are exact."""
+    m, sign, prev = [list(r) for r in rows], 1, 1
+    for k in range(len(m) - 1):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        for i in range(k + 1, len(m)):
+            m[i] = [(a * m[k][k] - m[i][k] * b) // prev for a, b in zip(m[i], m[k])]
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def colength_poly(J: PolyIdeal, cap: int = 64, stop_above: int | None = None) -> int:
@@ -252,6 +243,9 @@ def is_reduction_parameter(J: PolyIdeal, I: MonomialIdeal) -> bool:
     step d_(N+1) = d_N puts m^N inside J + m^(N+1), hence inside J
     (Nakayama).  So the walk takes at most e(I) + 1 truncations, and the cap
     of colength_poly binds only when e(I) >= 64.
+
+    Four or more variables are refused: colength_poly builds a box of about
+    N^n/n! monomials per order N and has no work bound yet.
     """
     if J.nvars != I.nvars:
         raise DimensionMismatch("mixed variable counts")
@@ -262,6 +256,8 @@ def is_reduction_parameter(J: PolyIdeal, I: MonomialIdeal) -> bool:
             raise PreconditionError(
                 "parameter generator is not contained in the ideal termwise"
             )
+    if I.nvars > 3:
+        raise UnsupportedIdeal("parameter reductions need n <= 3: no colength work bound")
     e = multiplicity(I)
     return colength_poly(J, stop_above=e) == e
 
@@ -373,9 +369,12 @@ def classify_reductions(I: MonomialIdeal) -> ReductionsClass:
     """Dichotomy for integrally closed finite-colength ideals: when the
     facet monomial count equals the dimension, every reduction has the same
     weak subintegral closure I; otherwise the closures intersect in
-    i_greater(I)."""
-    if I.nvars > 3:
-        raise UnsupportedIdeal("classification implemented for at most 3 variables")
+    i_greater(I).
+
+    It does not depend on n: each minimal reduction J has n generators and
+    J* = J + I_>, with m I <= I_> <= I, so J*/I_> is spanned by n vectors
+    of I/I_>, whose dimension dim_i_mod_igt(I) >= n is compared with n.
+    """
     if I.is_zero or I.is_unit or not I.finite_colength:
         raise UnsupportedIdeal("finite colength required")
     if integral_closure(I) != I:

@@ -7,17 +7,18 @@ tight at each generator, instead of double description; integral-closure
 membership by brute-force Minkowski sums instead of facet inequalities;
 the integral closure, i_greater, their truncation order and the colength
 by testing every point of the axis-degree box instead of walking the
-staircase; and ideal orders by explicit power chains instead of
-branch-and-bound.
+staircase; ideal orders by explicit power chains instead of
+branch-and-bound; and the multiplicity by the Hilbert-Samuel difference of
+colengths instead of triangulating the bounded facets.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
-from subintegral import MonomialIdeal, rees_valuations
+from subintegral import MonomialIdeal, integral_closure, rees_valuations
 from subintegral.poly import SparsePoly
 
 
@@ -206,6 +207,19 @@ def closure_member_minkowski(exponent, gens, m_max=24):
         if ok and level:
             return True
     return False
+
+
+def multiplicity_by_hilbert_samuel(ideal):
+    """e(I) as the n-th finite difference of k -> colength of the integral
+    closure of I^k over k = 1, ..., n + 1.  That colength counts the lattice
+    points of the orthant outside k NP(I): the points of a dilated lattice
+    polytope less those on the dilated bounded facets, so by Ehrhart a
+    polynomial in k of degree n with leading coefficient e(I)/n!."""
+    n = ideal.nvars
+    return sum(
+        (-1) ** (n - j) * comb(n, j) * integral_closure(ideal.power(1 + j)).colength()
+        for j in range(n + 1)
+    )
 
 
 def ord_by_power_chain(f: SparsePoly, ideal: MonomialIdeal, cap: int = 64):

@@ -56,6 +56,7 @@ PROGRAMS = [
     "ring QQ[x,y]; ord (x^4*y^2) in (x^2, x*y, y^2)",
     "ring QQ[x,y]; colength (x^3, x*y^2, y^4)",
     "ring QQ[x,y,z]; multiplicity (x^2, y^3, z^2, x*y*z)",
+    "ring QQ[x,y,z,w]; multiplicity (x^4, y^4, z^4, w^2, x*y*z)",
     # reduction: monomial J (Newton polyhedra), parameter J (multiplicity)
     "ring QQ[x,y]; reduction (x^2, y^3) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; reduction (x^2 + x*y, y^2) in (x^2, x*y, y^2)",
@@ -63,12 +64,15 @@ PROGRAMS = [
     # the first colength bound above the multiplicity
     "ring QQ[x,y]; reduction (x^4 + y^4, 2*x^4 + 2*y^4) in (x^4, y^4)",
     "ring QQ[x,y,z]; reduction (x^2 + y^2, y^2 + z^2, z^2 - x^2) in (x^2, y^2, z^2)",
+    # refused in four variables: the colength walk has no work bound there
+    "ring QQ[x,y,z,w]; reduction (x^2 + y^2, y^2, z^2, w^2) in (x^2, y^2, z^2, w^2)",
     "ring QQ[x,y]; core (x^2, x*y^2, y^3) with (x^2, y^3)",
     "ring QQ[x,y]; star-min-red (x^2, y^3) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; star-min-red (x^3, y^3) in (x^3, x^2*y, x*y^2, y^3) "
     "contains (x^2*y)",
     "ring QQ[x,y]; dim-igt (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; classify-reductions (x^2, x*y, y^2)",
+    "ring QQ[x,y,z,w]; classify-reductions (x, y, z^2, z*w, w^2)",
     "ring QQ[x,y]; rrs certify (x^2*y) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; rrs verify (x^3*y^2) in (x^4, y^4)",
     "ring QQ[x,y]; rrs search (x^2 + x*y^3) in (x^2, y^4)",

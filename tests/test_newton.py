@@ -56,7 +56,7 @@ class TestNewtonPolyhedron:
             assert all(np_membership(g, np) for g in I.gens)
 
     def test_power_scales_facets(self):
-        # NP(I^k) = k NP(I): the only oracle in 4 variables.
+        # NP(I^k) = k NP(I), checked in 2-4 variables.
         rng = random.Random(5)
         for nvars in [2] * 10 + [3] * 6 + [4] * 4:
             I = random_monomial_ideal(rng, nvars, max_exp=3)

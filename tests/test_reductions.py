@@ -1,6 +1,7 @@
 """Reductions, multiplicity, cores, star closures, and the classification."""
 
 import random
+from math import prod
 
 import pytest
 
@@ -73,6 +74,19 @@ class TestMultiplicity:
         assert multiplicity(ideal((2, 0, 0), (0, 2, 0), (0, 0, 2))) == 8
         assert multiplicity(MonomialIdeal.maximal(3).power(2)) == 8
 
+    def test_pure_powers_give_the_product_of_exponents(self):
+        rng = random.Random(59)
+        for n in range(1, 6):
+            for _ in range(4):
+                axes = [rng.randint(1, 7) for _ in range(n)]
+                gens = [tuple(a * (i == j) for j in range(n)) for i, a in enumerate(axes)]
+                assert multiplicity(MonomialIdeal(n, gens)) == prod(axes)
+
+    def test_powers_of_the_maximal_ideal(self):
+        for n in range(1, 6):
+            for k in range(1, 4):
+                assert multiplicity(MonomialIdeal.maximal(n).power(k)) == k**n
+
     def test_three_facet_corner_cut(self):
         # Three quadrilateral bounded facets; the value 48 equals the third
         # difference of colength(I^k), the Hilbert-Samuel leading term.
@@ -123,8 +137,9 @@ class TestParameterReduction:
         assert not is_reduction_parameter(J, I)
 
     def test_multiplicity_is_checked_before_the_walk(self):
-        # Four variables have no multiplicity yet; the walk, which would run
-        # to its cap on these dependent generators, never starts.
+        # Four variables are refused before e(I) and the walk: the walk would
+        # run to its cap on these dependent generators, and in four
+        # variables its truncation boxes have no work bound yet.
         squares = [SparsePoly.monomial(tuple(2 * (i == j) for j in range(4))) for i in range(4)]
         x2, y2, z2, w2 = squares
         J = PolyIdeal(4, (x2, y2, x2 + y2, z2 + w2))
@@ -229,6 +244,14 @@ class TestDimAndClassification:
         assert (
             classify_reductions(MonomialIdeal.maximal(2))
             is ReductionsClass.EVERY_REDUCTION_STAR_EQUALS_I
+        )
+
+    def test_classification_in_four_variables(self):
+        m = MonomialIdeal.maximal(4)
+        assert classify_reductions(m) is ReductionsClass.EVERY_REDUCTION_STAR_EQUALS_I
+        assert (
+            classify_reductions(m.power(2))
+            is ReductionsClass.INTERSECTION_IS_I_GREATER
         )
 
     def test_classification_needs_integrally_closed(self):
