@@ -190,7 +190,7 @@ def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> Spa
                 term = _truncated_product(term, table[k].items(), order)
         for d, c in term.items():
             total[d] = total.get(d, 0) + c
-    return SparsePoly(1, {(d,): c for d, c in total.items()})
+    return SparsePoly._from_clean(1, {(d,): c for d, c in total.items() if c})
 
 
 def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:

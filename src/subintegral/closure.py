@@ -44,14 +44,14 @@ def facet_staircase(ideal: MonomialIdeal, slack: int):
     bounded facet <w, e> >= v, for staircase_walk and staircase_corners.
 
     least(p) = max(0, max_w ceil((v + slack - <w', p>) / w_n)) is the least
-    last exponent above the prefix p.  The pure powers x_i^(a_i + slack)
-    pass every facet, so the generator prefixes lie in the box p_i <=
-    a_i + slack.
+    last exponent above the prefix p, in closed form: the walk's values
+    below p go unused.  The pure powers x_i^(a_i + slack) pass every facet,
+    so the generator prefixes lie in the box p_i <= a_i + slack.
     """
     vals = _require_finite_colength(ideal)
     facets = [(v.weight[:-1], v.weight[-1], v.value_on_ideal + slack) for v in vals]
 
-    def least(p) -> int:
+    def least(p, below) -> int:
         return max(
             0, *(-((sum(a * b for a, b in zip(w, p)) - v) // wn) for w, wn, v in facets)
         )
@@ -63,13 +63,15 @@ def facet_staircase(ideal: MonomialIdeal, slack: int):
 def integral_closure(ideal: MonomialIdeal) -> MonomialIdeal:
     """Monomials whose exponents lie in the Newton polyhedron, read off the
     corners of one staircase walk over the bounded facets."""
-    return MonomialIdeal(ideal.nvars, staircase_corners(*facet_staircase(ideal, 0)))
+    corners = staircase_corners(*facet_staircase(ideal, 0))
+    return MonomialIdeal._from_minimal(ideal.nvars, corners)
 
 
 def i_greater(ideal: MonomialIdeal) -> MonomialIdeal:
     """Monomials strictly above every bounded facet: v_j > v_j(I) for all j,
     i.e. v_j >= v_j(I) + 1, by the same walk as integral_closure."""
-    return MonomialIdeal(ideal.nvars, staircase_corners(*facet_staircase(ideal, 1)))
+    corners = staircase_corners(*facet_staircase(ideal, 1))
+    return MonomialIdeal._from_minimal(ideal.nvars, corners)
 
 
 def in_integral_closure(f: SparsePoly, ideal: MonomialIdeal) -> bool:

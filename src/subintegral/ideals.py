@@ -41,26 +41,39 @@ def _antichain(exponents: Iterable[Exponent]) -> tuple[Exponent, ...]:
 
 
 def staircase_walk(
-    bounds: Sequence[int], least: Callable[[Exponent], int]
-) -> Iterator[tuple[Exponent, int]]:
-    """Pair each prefix p of the box range(b_1) x ... x range(b_{n-1}) with
-    least(p), the least last exponent of the up-set above p, lazily and in
-    lex order."""
-    for p in product(*(range(b) for b in bounds)):
-        yield p, least(p)
+    bounds: Sequence[int], least: Callable[[Exponent, list], int]
+) -> Iterator[tuple[Exponent, int, list]]:
+    """Walk the prefixes p of the box range(b_1) x ... x range(b_{n-1})
+    lazily and in lex order, and yield (p, least(p, below), below), where
+    below lists the least values already yielded at p - e_i for the axes i
+    that p uses.  least(p) is the least last exponent of the up-set above p.
+
+    In lex order p - e_i lies stride_i = b_{i+1} * ... * b_{n-1} steps back,
+    at most one slab (one value of p_1) back, so only the last slab of least
+    values is kept, in a ring buffer: memory O(box / b_1), never the box.
+    """
+    strides = [math.prod(bounds[i + 1:]) for i in range(len(bounds))]
+    slab = strides[0] if strides else 1
+    last = [0] * slab
+    for idx, p in enumerate(product(*map(range, bounds))):
+        below = [last[(idx - s) % slab] for s, c in zip(strides, p) if c]
+        k = least(p, below)
+        last[idx % slab] = k
+        yield p, k, below
 
 
 def staircase_corners(
-    bounds: Sequence[int], least: Callable[[Exponent], int]
+    bounds: Sequence[int], least: Callable[[Exponent, list], int]
 ) -> Iterator[Exponent]:
     """Minimal generators of the up-set {(p, k) : k >= least(p)}, for a
-    non-increasing least whose generator prefixes lie in the box.
+    non-increasing least whose generator prefixes lie in the box, in lex
+    order.
 
     (p, least(p)) is minimal exactly when least drops at p along every axis
     that p uses: least(p - e_i) > least(p) whenever p_i > 0.
     """
-    for p, k in staircase_walk(bounds, least):
-        if all(least(p[:i] + (c - 1,) + p[i + 1:]) > k for i, c in enumerate(p) if c):
+    for p, k, below in staircase_walk(bounds, least):
+        if all(b > k for b in below):
             yield p + (k,)
 
 
@@ -82,6 +95,16 @@ class MonomialIdeal:
         self.gens = _antichain(exps)
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def _from_minimal(cls, nvars: int, gens: Iterable[Exponent]) -> "MonomialIdeal":
+        """The ideal of generators that are already an antichain of
+        nvars-tuples in lex order, as staircase_corners emits them; nothing
+        is checked or minimalized again."""
+        ideal = object.__new__(cls)
+        ideal.nvars = nvars
+        ideal.gens = tuple(gens)
+        return ideal
 
     @classmethod
     def zero(cls, nvars: int) -> "MonomialIdeal":
@@ -212,16 +235,27 @@ class MonomialIdeal:
             return math.inf
         if self.is_unit:
             return 0
-        bounds = self.axis_degrees()[:-1]
-        return sum(k for _, k in staircase_walk(bounds, self.least_last_exponent))
+        return sum(k for _, k, _ in self.staircase(self.axis_degrees()[:-1]))
 
-    def least_last_exponent(self, prefix: Exponent) -> int | float:
-        """min{g_n : g' <= prefix} over the generators g, where g' is g
-        without its last exponent; math.inf when no g' lies below prefix."""
-        # zip stops after the prefix's n - 1 entries: this tests g' <= prefix.
-        return min(
-            (g[-1] for g in self.gens if _dominates(prefix, g)), default=math.inf
-        )
+    def staircase(self, bounds: Sequence[int]) -> Iterator[tuple[Exponent, int | float, list]]:
+        """staircase_walk over the box of bounds with least(p) = min{g_n :
+        g' <= p} over the generators g, where g' is g without its last
+        exponent; math.inf when no g' lies below p.
+
+        g' <= p means g' = p or g' <= p - e_i for an axis i that p uses, so
+        least(p) = min(own(p), least(p - e_i)), where own(p) is the least
+        g_n with g' = p: no generator is scanned per prefix.
+        """
+        own: dict[Exponent, int] = {}
+        for g in self.gens:
+            p, k = g[:-1], g[-1]
+            if k < own.get(p, math.inf):
+                own[p] = k
+
+        def least(p, below):
+            return min((own.get(p, math.inf), *below))
+
+        return staircase_walk(bounds, least)
 
     def generator_polys(self) -> list[SparsePoly]:
         return [SparsePoly.monomial(g) for g in self.gens]

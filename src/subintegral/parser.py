@@ -264,77 +264,82 @@ class _Parser:
         """A parenthesized generator list; monomial generators (up to a
         rational unit) make a MonomialIdeal, anything else a PolyIdeal."""
         self.expect("(")
-        gens: list[SparsePoly] = []
+        gens: list[dict] = []
         while True:
-            gens.append(self.poly_expr())
+            gens.append(self.poly_terms())
             if self.peek().text == ",":
                 self.next()
                 continue
             break
         self.expect(")")
-        gens = [g for g in gens if not g.is_zero]
-        if not gens:
-            return MonomialIdeal.zero(len(self.ring))
-        if all(g.is_monomial() for g in gens):
-            return MonomialIdeal(len(self.ring), [g.exponents()[0] for g in gens])
-        return PolyIdeal(len(self.ring), tuple(gens))
+        nvars = len(self.ring)
+        gens = [g for g in gens if g]
+        if all(len(g) == 1 for g in gens):
+            # Each generator is one term: keep its exponent, drop its unit.
+            return MonomialIdeal(nvars, [exp for g in gens for exp in g])
+        return PolyIdeal(nvars, tuple(SparsePoly._from_clean(nvars, g) for g in gens))
 
     # -- polynomial expressions ------------------------------------------------
 
     def poly_expr(self) -> SparsePoly:
+        return SparsePoly._from_clean(len(self.ring), self.poly_terms())
+
+    def poly_terms(self) -> dict[tuple[int, ...], Fraction]:
+        """The terms {exponent: nonzero coefficient} of a sum of signed
+        terms, each added to its like term as it is read."""
         self.require_ring()
-        terms = []
+        terms: dict[tuple[int, ...], Fraction] = {}
         sign = 1
         tok = self.peek()
         if tok.text in {"+", "-"}:
             self.next()
             sign = -1 if tok.text == "-" else 1
-        terms.append(sign * self.poly_term())
-        while self.peek().text in {"+", "-"}:
-            op = self.next()
-            sign = -1 if op.text == "-" else 1
-            terms.append(sign * self.poly_term())
-        total = SparsePoly.zero(len(self.ring))
-        for t in terms:
-            total = total + t
-        return total
-
-    def poly_term(self) -> SparsePoly:
-        factors = [self.poly_factor()]
-        while self.peek().text == "*":
+        while True:
+            exp, coeff = self.poly_term()
+            value = terms.get(exp, 0) + sign * coeff
+            if value:
+                terms[exp] = Fraction(value)
+            else:
+                terms.pop(exp, None)
+            op = self.peek()
+            if op.text not in {"+", "-"}:
+                return terms
             self.next()
-            factors.append(self.poly_factor())
-        product = SparsePoly.constant(len(self.ring), 1)
-        for f in factors:
-            product = product * f
-        return product
+            sign = -1 if op.text == "-" else 1
 
-    def poly_factor(self) -> SparsePoly:
-        tok = self.next()
-        if tok.kind == "int":
-            value = Fraction(int(tok.text))
-            if self.peek().text == "/":
-                self.next()
-                den = self.next()
-                if den.kind != "int" or int(den.text) == 0:
-                    raise ParseError("expected a nonzero denominator", den.line, den.column)
-                value = value / int(den.text)
-            return SparsePoly.constant(len(self.ring), value)
-        if tok.kind == "name":
-            if tok.text not in self.ring:
-                raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
-            idx = self.ring.index(tok.text)
-            exponent = 1
-            if self.peek().text == "^":
-                self.next()
-                power = self.next()
-                if power.kind != "int":
-                    raise ParseError("expected an integer exponent", power.line, power.column)
-                exponent = int(power.text)
-            exp = [0] * len(self.ring)
-            exp[idx] = exponent
-            return SparsePoly.monomial(tuple(exp))
-        raise ParseError(f"expected a polynomial factor, found {tok.text!r}", tok.line, tok.column)
+    def poly_term(self) -> tuple[tuple[int, ...], int | Fraction]:
+        """A product of factors as (exponent, coefficient): every factor is
+        a rational constant or a variable power, so the term is c*x^e."""
+        exp = [0] * len(self.ring)
+        coeff = 1
+        while True:
+            tok = self.next()
+            if tok.kind == "int":
+                coeff *= int(tok.text)
+                if self.peek().text == "/":
+                    self.next()
+                    den = self.next()
+                    if den.kind != "int" or int(den.text) == 0:
+                        raise ParseError("expected a nonzero denominator", den.line, den.column)
+                    coeff = Fraction(coeff, int(den.text))
+            elif tok.kind == "name":
+                if tok.text not in self.ring:
+                    raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.column)
+                power = 1
+                if self.peek().text == "^":
+                    self.next()
+                    ptok = self.next()
+                    if ptok.kind != "int":
+                        raise ParseError("expected an integer exponent", ptok.line, ptok.column)
+                    power = int(ptok.text)
+                exp[self.ring.index(tok.text)] += power
+            else:
+                raise ParseError(
+                    f"expected a polynomial factor, found {tok.text!r}", tok.line, tok.column
+                )
+            if self.peek().text != "*":
+                return tuple(exp), coeff
+            self.next()
 
     # -- commands -------------------------------------------------------------------
 

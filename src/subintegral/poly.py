@@ -33,15 +33,25 @@ class SparsePoly:
         self.nvars = nvars
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent {exp} for {nvars} variables")
-            clean[tuple(exp)] = coeff
+            coeff = Fraction(coeff)
+            if coeff != 0:
+                clean[tuple(exp)] = coeff
         self._terms = clean
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, nvars: int, terms: dict[Exponent, Fraction]) -> "SparsePoly":
+        """Wrap terms that are already clean, without copying or checking:
+        tuple exponents of length nvars with no negative entry, each mapped
+        to a nonzero Fraction.  For internal results only; input from
+        outside goes through the validating constructor."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly._terms = terms
+        return poly
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -107,18 +117,18 @@ class SparsePoly:
         other = self._coerce(other)
         terms = dict(self._terms)
         for exp, coeff in other._terms.items():
-            val = terms.get(exp, Fraction(0)) + coeff
+            val = terms.get(exp, 0) + coeff
             if val == 0:
                 terms.pop(exp, None)
             else:
                 terms[exp] = val
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._from_clean(self.nvars, terms)
 
     def __radd__(self, other) -> "SparsePoly":
         return self + other
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return SparsePoly._from_clean(self.nvars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
@@ -130,18 +140,20 @@ class SparsePoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return SparsePoly.zero(self.nvars)
-            return SparsePoly(self.nvars, {e: c * other for e, c in self._terms.items()})
+            return SparsePoly._from_clean(
+                self.nvars, {e: c * other for e, c in self._terms.items()}
+            )
         other = self._coerce(other)
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exp = tuple(a + b for a, b in zip(e1, e2))
-                val = terms.get(exp, Fraction(0)) + c1 * c2
+                val = terms.get(exp, 0) + c1 * c2
                 if val == 0:
                     terms.pop(exp, None)
                 else:
                     terms[exp] = val
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._from_clean(self.nvars, terms)
 
     def __rmul__(self, other) -> "SparsePoly":
         return self * other
@@ -216,7 +228,7 @@ class SparsePoly:
             new = list(exp)
             new[var] = e - 1
             terms[tuple(new)] = coeff * e
-        return SparsePoly(self.nvars, terms)
+        return SparsePoly._from_clean(self.nvars, terms)
 
     # -- comparison / hashing ------------------------------------------------
 
@@ -238,14 +250,8 @@ class SparsePoly:
         names = names or default_names(self.nvars)
         parts = []
         for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
+            body = monomial_string(exp, names)
+            if not any(exp):
                 frag = _coeff_str(coeff)
             elif coeff == 1:
                 frag = body
@@ -271,4 +277,8 @@ def _coeff_str(c: Fraction) -> str:
 
 
 def monomial_string(exponent: Exponent, names: Sequence[str] | None = None) -> str:
-    return SparsePoly.monomial(exponent).to_string(names)
+    """x^exponent written as to_string writes it: the factors name^e in
+    variable order (the exponent 1 left out), or "1" for the zero exponent."""
+    names = names or default_names(len(exponent))
+    factors = [n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponent) if e]
+    return "*".join(factors) or "1"

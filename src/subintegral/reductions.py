@@ -280,7 +280,8 @@ def igt_truncation_order(I: MonomialIdeal) -> int:
     """Least N with m^N inside i_greater(I): one more than the largest
     degree |p| + least(p) - 1 of a monomial below the i_greater staircase."""
     return max(
-        (sum(p) + k for p, k in staircase_walk(*facet_staircase(I, 1)) if k), default=1
+        (sum(p) + k for p, k, _ in staircase_walk(*facet_staircase(I, 1)) if k),
+        default=1,
     )
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import product
 from math import comb
 
 from .closure import in_i_greater
@@ -141,11 +140,8 @@ def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> list[tuple[int, ...]
     in lex order.  Above each prefix p of the first n - 1 exponents they run
     from the least last exponent of a generator below p up to max_degree - |p|."""
     out = []
-    for p in product(range(max_degree + 1), repeat=ideal.nvars - 1):
+    for p, low, _ in ideal.staircase([max_degree + 1] * (ideal.nvars - 1)):
         top = max_degree - sum(p)
-        if top < 0:
-            continue
-        low = ideal.least_last_exponent(p)
         if low <= top:
             out.extend(p + (k,) for k in range(low, top + 1))
     return out

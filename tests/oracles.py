@@ -9,7 +9,10 @@ the integral closure, i_greater, their truncation order and the colength
 by testing every point of the axis-degree box instead of walking the
 staircase; ideal orders by explicit power chains instead of
 branch-and-bound; and the multiplicity by the Hilbert-Samuel difference of
-colengths instead of triangulating the bounded facets.
+colengths instead of triangulating the bounded facets.  Parsed polynomials
+are rebuilt by multiplying out every factor and adding up the terms with
+SparsePoly arithmetic, and monomials are printed through a one-term
+SparsePoly, as the parser and the renderer once did.
 """
 
 from __future__ import annotations
@@ -277,3 +280,25 @@ def random_igt_element(rng: random.Random, igt: MonomialIdeal) -> SparsePoly:
     if total.is_zero:
         total = SparsePoly.monomial(igt.gens[0])
     return total
+
+
+def multiply_out(nvars, terms):
+    """The polynomial of signed products of factors, built with SparsePoly
+    products and sums: terms is a list of (sign, factors), and a factor is
+    a rational constant or a (variable index, exponent) pair."""
+    total = SparsePoly.zero(nvars)
+    for sign, factors in terms:
+        product = SparsePoly.constant(nvars, sign)
+        for f in factors:
+            if isinstance(f, tuple):
+                exp = [0] * nvars
+                exp[f[0]] = f[1]
+                f = SparsePoly.monomial(exp)
+            product = product * f
+        total = total + product
+    return total
+
+
+def monomial_string_via_poly(exponent, names=None):
+    """x^exponent printed through the one-term polynomial it spans."""
+    return SparsePoly.monomial(exponent).to_string(names)

@@ -120,6 +120,14 @@ PARSE_ERRORS = [
     ("rrs certify (x) in (x)", 1, 5),
     ("ring QQ[x,y]\n\nigt (x + y)\n", 3, 5),
     ("ring QQ[x,y]\nideal I = (x + y)\n  colength I", 3, 12),
+    # inside a product: at the offending factor's token
+    (RING + "vbar (x*1/0) in (x^2, y^2)", 1, 25),
+    (RING + "vbar (2*x*z^2) in (x^2, y^2)", 1, 25),
+    (RING + "vbar (x*y^y) in (x^2, y^2)", 1, 25),
+    (RING + "vbar (x* - y) in (x^2, y^2)", 1, 24),
+    (RING + "vbar (x*y +) in (x^2, y^2)", 1, 26),
+    (RING + "igt (x^2, 3/x*y, y^3)", 1, 27),
+    ("ring QQ[x,y]\npoly h = x*y - 2/3*x*q^2\nvbar h in (x^2, y^2)", 2, 22),
 ]
 
 

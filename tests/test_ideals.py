@@ -2,14 +2,31 @@
 
 import math
 import random
+import tracemalloc
+from itertools import product
 
 import pytest
 
-from subintegral import DimensionMismatch, MonomialIdeal, minimal_generators, ord_in
-from subintegral.ideals import _power
+from subintegral import (
+    DimensionMismatch,
+    MonomialIdeal,
+    i_greater,
+    integral_closure,
+    minimal_generators,
+    ord_in,
+)
+from subintegral import ideals
+from subintegral.closure import facet_staircase
+from subintegral.ideals import _power, staircase_corners
 from subintegral.poly import SparsePoly
+from subintegral.rrs import _degree_basis
 
-from oracles import ord_by_power_chain, random_monomial, random_monomial_ideal
+from oracles import (
+    colength_by_box_count,
+    ord_by_power_chain,
+    random_monomial,
+    random_monomial_ideal,
+)
 
 
 def ideal(*exps):
@@ -133,6 +150,62 @@ class TestColength:
 
     def test_infinite_colength(self):
         assert ideal((2, 0),).colength() == math.inf
+
+
+class TestStaircaseWork:
+    """The walk reads each least value once and keeps one slab of them."""
+
+    IDEALS = [
+        ideal((7, 0), (2, 3), (0, 5)),
+        ideal((5, 0, 0), (0, 6, 0), (0, 0, 4), (1, 2, 1)),
+        ideal((3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 4, 0), (0, 0, 0, 2), (1, 1, 1, 1)),
+        ideal((6,)),
+    ]
+
+    @pytest.mark.parametrize("I", IDEALS)
+    @pytest.mark.parametrize("slack", [0, 1])
+    def test_corners_call_least_once_per_prefix(self, I, slack):
+        bounds, least = facet_staircase(I, slack)
+        calls = []
+
+        def counted(p, below):
+            calls.append(p)
+            return least(p, below)
+
+        corners = staircase_corners(bounds, counted)
+        closure = MonomialIdeal(I.nvars, corners)
+        assert calls == list(product(*map(range, bounds)))
+        assert closure == (i_greater(I) if slack else integral_closure(I))
+
+    @pytest.mark.parametrize("I", IDEALS)
+    def test_colength_and_degree_basis_scan_no_generators(self, I, monkeypatch):
+        expected = colength_by_box_count(I)
+        degree = 9
+        basis = [
+            e
+            for e in product(range(degree + 1), repeat=I.nvars)
+            if sum(e) <= degree and I.contains_exponent(e)
+        ]
+
+        def refuse(a, b):
+            raise AssertionError("a generator was scanned for one prefix")
+
+        monkeypatch.setattr(ideals, "_dominates", refuse)
+        assert I.colength() == expected
+        assert _degree_basis(I, degree) == basis
+
+    def test_colength_keeps_one_slab(self):
+        """300 x 301 prefixes: a memo over the whole box would take more
+        than 700 KiB; one slab of 301 values takes a few."""
+        I = ideal((300, 0, 0), (0, 301, 0), (0, 0, 302), (100, 100, 100))
+        tracemalloc.start()
+        try:
+            value = I.colength()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == 300 * 301 * 302 - 200 * 201 * 202
+        assert peak < 256 * 1024
 
 
 class TestOrd:

@@ -39,7 +39,7 @@ def ideals(draw, nvars, top):
 
 
 @SETTINGS
-@hypothesis.given(ideals(st.sampled_from([2, 3, 4]), lambda n: 3 if n < 4 else 2))
+@hypothesis.given(ideals(st.sampled_from([2, 3, 4]), lambda n: 3))
 def test_matches_hilbert_samuel_difference(I):
     assert multiplicity(I) == multiplicity_by_hilbert_samuel(I)
 

@@ -1,10 +1,13 @@
 """Sparse polynomial arithmetic basics."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from subintegral.poly import SparsePoly
+from subintegral.poly import SparsePoly, monomial_string
+
+from oracles import monomial_string_via_poly
 
 
 def mono(*exp):
@@ -69,3 +72,41 @@ def test_to_string_canonical():
 def test_mixed_nvars_rejected():
     with pytest.raises(ValueError):
         mono(1, 0) + SparsePoly.monomial((1,))
+
+
+def test_bad_exponent_rejected_even_with_zero_coefficient():
+    for terms in ({(1,): 0, (-1, 5, 7): 0}, {(1,): 1}, {(1, -1): 0}):
+        with pytest.raises(ValueError):
+            SparsePoly(2, terms)
+    assert SparsePoly(2, {(1, 0): 0, (0, 1): Fraction(1, 2)}) == Fraction(1, 2) * mono(0, 1)
+
+
+def test_arithmetic_results_are_clean():
+    """Sums, products, negations and derivatives skip the validating
+    constructor; their terms must still pass it unchanged."""
+    rng = random.Random(3)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        p, q = (
+            SparsePoly(n, {
+                tuple(rng.randint(0, 2) for _ in range(n)): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(rng.randint(0, 4))
+            })
+            for _ in range(2)
+        )
+        for r in (p + q, p - q, p * q, -p, p * 2, p.derivative(0), p.compose([q] * n)):
+            assert all(type(c) is Fraction and c != 0 for _, c in r.items())
+            assert SparsePoly(r.nvars, dict(r.items())) == r
+
+
+def test_monomial_string_matches_one_term_poly():
+    """Default names (x, y, z, w up to four variables, then x1, x2, ...) and
+    given names, the unit exponent included."""
+    rng = random.Random(5)
+    for n in range(1, 7):
+        exps = [(0,) * n] + [tuple(rng.choice([0, 0, 1, 2, 11]) for _ in range(n)) for _ in range(30)]
+        for names in (None, tuple(f"v{i}" for i in range(n))):
+            for e in exps:
+                assert monomial_string(e, names) == monomial_string_via_poly(e, names)
+    assert monomial_string((0, 0, 0)) == "1"
+    assert monomial_string((1, 0, 0, 0, 2)) == "x1*x5^2"
