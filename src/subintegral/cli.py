@@ -289,11 +289,30 @@ def _render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1, the code of every other input
+    error; 2 is kept for inconclusive results."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 @lru_cache(maxsize=1)
 def _argument_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     `main` call (parsing keeps no state in it)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="subintegral",
         description="Exact closure computations for monomial ideals",
     )
@@ -306,7 +325,7 @@ def _argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("-c", "--program", help="program text given inline")
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
-    parser.add_argument("--budget", type=int, help="search/sampling budget")
+    parser.add_argument("--budget", type=_budget, help="search/sampling budget (>= 1)")
     parser.add_argument("--trunc", type=int, help="truncation-order override")
     return parser
 

@@ -23,10 +23,11 @@ from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
+from operator import add
 
 from .closure import in_i_greater
 from .errors import BudgetExceeded, PreconditionError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, ord_in
 from .linalg import solve_sparse
 from .poly import SparsePoly
 
@@ -63,22 +64,47 @@ def window_equations(system: RRSSystem) -> list[TPoly]:
     return out
 
 
-def _eval_identity(h: SparsePoly, system: RRSSystem, n: int) -> SparsePoly:
-    total = h**n
-    for i in range(1, n + 1):
-        total = total + comb(n, i) * system.coeffs[i - 1] * h ** (n - i)
-    return total
+def _powers(h: SparsePoly, top: int) -> list[SparsePoly]:
+    """h^0, h^1, ..., h^top, each from the one before."""
+    out = [SparsePoly.constant(h.nvars, 1)]
+    for _ in range(top):
+        out.append(out[-1] * h)
+    return out
+
+
+def _identity_failure(system: RRSSystem, powers: list[SparsePoly]) -> str | None:
+    """The first window identity sum_{i=0..n} C(n,i) a_i h^(n-i) (a_0 = 1)
+    that does not vanish, with powers = [h^0, ..., h^(2q+1)]; None when all
+    vanish.  Each identity is multiplied out into one term dictionary."""
+    nvars = powers[0].nvars
+    if any(a.nvars != nvars for a in system.coeffs):
+        raise ValueError("mixed variable counts")
+    for n in system.window:
+        total = dict(powers[n].items())
+        for i in range(1, n + 1):
+            binom = comb(n, i)
+            for e1, c1 in system.coeffs[i - 1].items():
+                c1 *= binom
+                for e2, c2 in powers[n - i].items():
+                    e = tuple(map(add, e1, e2))
+                    total[e] = total.get(e, 0) + c1 * c2
+        if any(total.values()):
+            return f"identity of degree {n} does not vanish"
+    return None
 
 
 def verify_failure(
     h: SparsePoly, system: RRSSystem, ideal: MonomialIdeal
 ) -> str | None:
-    """None when the certificate is valid; otherwise the first failure."""
-    for n in system.window:
-        if not _eval_identity(h, system, n).is_zero:
-            return f"identity of degree {n} does not vanish"
+    """None when the certificate is valid; otherwise the first failure.
+
+    a_i in I^i is decided termwise by ord_in with cap i; no power of the
+    ideal is built."""
+    failure = _identity_failure(system, _powers(h, 2 * system.q + 1))
+    if failure is not None:
+        return failure
     for i, a in enumerate(system.coeffs, start=1):
-        if not ideal.power(i).contains(a):
+        if ord_in(a, ideal, cap=i) < i:
             return f"coefficient a_{i} is not in the {i}-th ideal power"
     return None
 
@@ -93,43 +119,42 @@ def construct_from_igt(
     """Build a certificate for an element with asymptotic Samuel value > 1.
 
     Finds the least q <= q_max with a^n in I^{n+1} throughout the window
-    q+1 <= n <= 2q+1, then sets a_1 = ... = a_q = 0, a_{q+1} = -a^{q+1} and
+    q+1 <= n <= 2q+1.  The exponents n = 1, 2, ... are tested once each:
+    a failure at n lies in the window of every q with (n-1)/2 <= q < n, so
+    it rules out every q < n, and the least q is then n.
 
-        a_{q+i} = -(a^{q+i} + sum_{j<i} C(q+i, q+j) a_{q+j} a^{i-j})
+    Then a_1 = ... = a_q = 0 and a_k = m_k a^k for k > q, with the integers
 
-    so each window identity telescopes to zero.  Every coefficient comes
-    out as an integer multiple of the matching power of a, hence lies in
-    I^{q+i+1}.
+        m_{q+1} = -1,   m_{q+i} = -(1 + sum_{j<i} C(q+i, q+j) m_{q+j}),
+
+    so each window identity a^n (1 + sum_k C(n,k) m_k) telescopes to zero.
+    Every coefficient is an integer multiple of a power a^k that the scan
+    put in I^{k+1}, one power better than a_k in I^k needs; the identities
+    are checked in full before the certificate is returned.
     """
     if not in_i_greater(a, ideal):
         raise PreconditionError("element is not in i_greater of the ideal")
 
-    powers: dict[int, SparsePoly] = {1: a}
+    powers = [SparsePoly.constant(a.nvars, 1)]
+    q, n = 0, 1
+    while n <= 2 * q + 1:
+        powers.append(powers[-1] * a)
+        if ord_in(powers[n], ideal, cap=n + 1) <= n:
+            q = n
+            if q > q_max:
+                raise BudgetExceeded(f"no certificate window found with q <= {q_max}")
+        n += 1
 
-    def apow(n: int) -> SparsePoly:
-        if n not in powers:
-            powers[n] = a ** n
-        return powers[n]
-
-    def window_holds(q: int) -> bool:
-        return all(
-            ideal.power(n + 1).contains(apow(n)) for n in range(q + 1, 2 * q + 2)
+    multipliers: list[int] = []
+    for i in range(1, q + 2):
+        multipliers.append(
+            -(1 + sum(comb(q + i, q + j) * m for j, m in enumerate(multipliers, start=1)))
         )
-
-    q = next((k for k in range(q_max + 1) if window_holds(k)), None)
-    if q is None:
-        raise BudgetExceeded(f"no certificate window found with q <= {q_max}")
-
-    nvars = a.nvars
-    coeffs: list[SparsePoly] = [SparsePoly.zero(nvars) for _ in range(2 * q + 1)]
-    coeffs[q] = -apow(q + 1)
-    for i in range(2, q + 2):
-        total = apow(q + i)
-        for j in range(1, i):
-            total = total + comb(q + i, q + j) * coeffs[q + j - 1] * apow(i - j)
-        coeffs[q + i - 1] = -total
+    coeffs = [SparsePoly.zero(a.nvars)] * q + [
+        m * powers[k] for k, m in enumerate(multipliers, start=q + 1)
+    ]
     system = RRSSystem(q=q, coeffs=tuple(coeffs))
-    failure = verify_failure(a, system, ideal)
+    failure = _identity_failure(system, powers)
     if failure is not None:
         raise AssertionError(f"constructed certificate failed: {failure}")
     return system

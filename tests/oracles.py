@@ -9,7 +9,10 @@ the integral closure, i_greater, their truncation order and the colength
 by testing every point of the axis-degree box instead of walking the
 staircase; ideal orders by explicit power chains instead of
 branch-and-bound; and the multiplicity by the Hilbert-Samuel difference of
-colengths instead of triangulating the bounded facets.  Parsed polynomials
+colengths instead of triangulating the bounded facets.  Membership in an
+ideal power is read off the multiplied-out power, and I_> certificates are
+rebuilt by the SparsePoly recursion over products of a_j and powers of a,
+with the window searched by testing every window in full.  Parsed polynomials
 are rebuilt by multiplying out every factor and adding up the terms with
 SparsePoly arithmetic, and monomials are printed through a one-term
 SparsePoly, as the parser and the renderer once did.
@@ -21,7 +24,9 @@ import random
 from itertools import product
 from math import comb, gcd
 
-from subintegral import MonomialIdeal, integral_closure, rees_valuations
+from subintegral import MonomialIdeal, RRSSystem, integral_closure, rees_valuations
+from subintegral.errors import BudgetExceeded
+from subintegral.ideals import max_power_membership
 from subintegral.poly import SparsePoly
 
 
@@ -239,6 +244,53 @@ def ord_by_power_chain(f: SparsePoly, ideal: MonomialIdeal, cap: int = 64):
             return order
         order = n
     return order
+
+
+def in_power_by_product(f: SparsePoly, ideal: MonomialIdeal, k: int) -> bool:
+    """f in ideal**k, with the power multiplied out and minimalized."""
+    return ideal.power(k).contains(f)
+
+
+def construct_by_poly_recursion(
+    a: SparsePoly, ideal: MonomialIdeal, q_max: int = 32
+) -> RRSSystem:
+    """The I_> certificate of a: the least q <= q_max whose whole window
+    q+1 <= n <= 2q+1 has a^n in I^(n+1), tested window by window on
+    multiplied-out powers; a_1 = ... = a_q = 0, a_{q+1} = -a^(q+1) and
+    a_{q+i} = -(a^(q+i) + sum_{j<i} C(q+i, q+j) a_{q+j} a^(i-j))."""
+    q = next(
+        (
+            k
+            for k in range(q_max + 1)
+            if all(in_power_by_product(a**n, ideal, n + 1) for n in range(k + 1, 2 * k + 2))
+        ),
+        None,
+    )
+    if q is None:
+        raise BudgetExceeded(f"no certificate window found with q <= {q_max}")
+    coeffs = [SparsePoly.zero(a.nvars) for _ in range(2 * q + 1)]
+    coeffs[q] = -(a ** (q + 1))
+    for i in range(2, q + 2):
+        total = a ** (q + i)
+        for j in range(1, i):
+            total = total + comb(q + i, q + j) * coeffs[q + j - 1] * a ** (i - j)
+        coeffs[q + i - 1] = -total
+    return RRSSystem(q=q, coeffs=tuple(coeffs))
+
+
+def least_window_by_branch_and_bound(a: SparsePoly, ideal: MonomialIdeal, q_max: int):
+    """The least q <= q_max with every term of a^n in I^(n+1) for
+    q+1 <= n <= 2q+1, each term decided by max_power_membership; None when
+    there is none."""
+    def holds(n):
+        return all(
+            max_power_membership(e, ideal.gens, n + 1) >= n + 1 for e, _ in (a**n).items()
+        )
+
+    return next(
+        (k for k in range(q_max + 1) if all(holds(n) for n in range(k + 1, 2 * k + 2))),
+        None,
+    )
 
 
 def random_monomial_ideal(

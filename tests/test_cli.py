@@ -256,6 +256,36 @@ class TestMainEntry:
     def test_parse_error_exit_code(self, capsys):
         assert main(["-c", "igt igt igt"]) == 1
 
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "ring QQ[x,y]; ord (x^4*y^2) in (x^2, x*y, y^2)",
+            "ring QQ[x,y]; rrs search (x*y) in (x^2, y^2)",
+            "ring QQ[x,y]; relclose (x*y) in (x^2, y^2)",
+        ],
+    )
+    @pytest.mark.parametrize("budget", ["-5", "0", "two"])
+    def test_budget_below_one_is_a_usage_error(self, capsys, program, budget):
+        with pytest.raises(SystemExit) as exc:
+            main(["-c", program, "--budget", budget])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget: must be an integer >= 1" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_budget_one_is_the_cap(self, capsys):
+        assert main(["--json", "-c", "ring QQ[x,y]; ord (x^4*y^2) in (x^2, x*y, y^2)",
+                     "--budget", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {"cap": 1, "order": 1}
+
+    def test_usage_error_exit_code(self, capsys):
+        # 2 is reserved for inconclusive results.
+        with pytest.raises(SystemExit) as exc:
+            main(["--no-such-flag", "-c", "ring QQ[x,y]; igt (x^2, y^2)"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_inconclusive_exit_code(self, capsys):
         assert main(["-c", "ring QQ[x,y]; rrs search (x*y) in (x^2, y^2)", "--budget", "2"]) == 2
 

@@ -86,6 +86,13 @@ PROGRAMS = [
     # zz-check: via I_> and via the bounded search
     "ring QQ[x,y]; zz-check (x^2*y) in (x^2, x*y^2, y^3)",
     "ring QQ[x,y]; zz-check (x^2 + x*y^3) in (x^2, y^4)",
+    # certificates from I_> in three and four variables, whose windows
+    # reach high ideal powers (q = 12 for the first)
+    "ring QQ[x,y,z]; rrs certify (x^2*y^2*z^2) in (x^5, y^5, z^5)",
+    "ring QQ[x,y,z]; rrs certify (3*x*y^2*z) in (x^3, y^3, z^2)",
+    "ring QQ[x,y,z]; rrs certify (x^3*y^2*z^2) in (x^6, y^6, z^5, x*y*z^3)",
+    "ring QQ[x,y,z,w]; rrs verify (x*y*z*w^2 + x^2*y*z*w) in (x^3, y^3, z^3, w^3)",
+    "ring QQ[x,y,z]; zz-check (x^2*y*z + 2*x*y^2*z) in (x^3, y^2, z^3)",
     "examples",
     # declared operands
     "ring QQ[x,y]; ideal I = (x^2, x*y^2, y^3); poly h = x^2*y - 3/2*x*y^2; "

@@ -1,6 +1,10 @@
 """Weak-subintegrality certificates: verification, construction, search."""
 
+import contextlib
+import io
+import json
 import random
+import time
 
 import pytest
 
@@ -19,10 +23,12 @@ from subintegral import (
     verify_failure,
     window_equations,
 )
+from subintegral import ideals, rrs
+from subintegral.cli import main
 from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
-from oracles import random_igt_element, random_monomial_ideal
+from oracles import least_window_by_branch_and_bound, random_igt_element, random_monomial_ideal
 
 
 def ideal(*exps):
@@ -73,6 +79,102 @@ class TestVerify:
         bad = RRSSystem(q=system.q, coeffs=tuple(tampered))
         assert not verify(a, bad, WEIGHTED)
         assert verify_failure(a, bad, WEIGHTED) is not None
+
+
+class TestVerifyMessages:
+    """verify_failure names the first failure as it did when it multiplied
+    out every ideal power."""
+
+    def test_perturbed_coefficient(self):
+        a = mono(2, 1)
+        system = construct_from_igt(a, WEIGHTED)
+        tampered = list(system.coeffs)
+        tampered[system.q + 1] = tampered[system.q + 1] + mono(3, 3)
+        bad = RRSSystem(q=system.q, coeffs=tuple(tampered))
+        assert verify_failure(a, bad, WEIGHTED) == "identity of degree 4 does not vanish"
+
+    def test_top_coefficient_one_power_short(self):
+        # x*y over (x^2, y^2) at q = 1: the window identities hold and
+        # a_2 = -x^2*y^2 lies in I^2, but a_3 = 2*x^3*y^3 lies in I^2 and
+        # not in I^3; so does one term of a_3 for the two-term h.
+        h = mono(1, 1)
+        system = RRSSystem(q=1, coeffs=(SparsePoly.zero(2), -(h**2), 2 * h**3))
+        assert verify_failure(h, system, CORNER) == (
+            "coefficient a_3 is not in the 3-th ideal power"
+        )
+        two_terms = mono(1, 1) + mono(2, 1)
+        system = RRSSystem(
+            q=1, coeffs=(SparsePoly.zero(2), -(two_terms**2), 2 * two_terms**3)
+        )
+        assert verify_failure(two_terms, system, CORNER) == (
+            "coefficient a_3 is not in the 3-th ideal power"
+        )
+
+    def test_wrong_q(self):
+        a = mono(2, 1)
+        system = construct_from_igt(a, WEIGHTED)
+        zero = SparsePoly.zero(2)
+        shorter = RRSSystem(q=system.q - 1, coeffs=system.coeffs[:-2])
+        longer = RRSSystem(q=system.q + 1, coeffs=system.coeffs + (zero, zero))
+        assert verify_failure(a, shorter, WEIGHTED) == "identity of degree 2 does not vanish"
+        assert verify_failure(a, longer, WEIGHTED) == "identity of degree 6 does not vanish"
+
+
+# Elements of I_> in two to four variables, with q from 0 to 12.  For
+# x^2*y^2 over (x^3, y^3) the scan fails at n = 1, 2 and 4: a^3 lies in
+# I^4, but a^4 = x^8*y^8 not in I^5.
+IGT_CASES = [
+    (mono(4, 0), CORNER),
+    (mono(2, 1), WEIGHTED),
+    (mono(2, 2), ideal((3, 0), (0, 3))),
+    (mono(3, 0) + 2 * mono(1, 2), CORNER),
+    (mono(2, 2, 2), ideal((5, 0, 0), (0, 5, 0), (0, 0, 5))),
+    (3 * mono(1, 2, 1), ideal((3, 0, 0), (0, 3, 0), (0, 0, 2))),
+    (mono(3, 2, 2), ideal((6, 0, 0), (0, 6, 0), (0, 0, 5), (1, 1, 3))),
+    (mono(1, 1, 1, 2) + mono(2, 1, 1, 1), ideal(*[tuple(3 * (i == j) for j in range(4)) for i in range(4)])),
+]
+
+
+class TestWorkGuards:
+    def test_no_ideal_power_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an ideal power was multiplied out")
+
+        monkeypatch.setattr(ideals, "_power", refuse)
+        monkeypatch.setattr(MonomialIdeal, "__mul__", refuse)
+        for a, I in IGT_CASES:
+            system = construct_from_igt(a, I)
+            assert verify_failure(a, system, I) is None
+
+    def test_each_window_exponent_tested_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, ideal, cap=64):
+            calls.append(cap)
+            return ideals.ord_in(f, ideal, cap)
+
+        monkeypatch.setattr(rrs, "ord_in", counting)
+        for a, I in IGT_CASES:
+            calls.clear()
+            system = construct_from_igt(a, I)
+            assert 0 < len(calls) <= 2 * system.q + 2
+
+
+def test_large_window_certifies_quickly():
+    # q = 24 in four variables: the window reaches a^49 in I^50, which
+    # multiplied out has tens of thousands of generators.
+    program = "ring QQ[x,y,z,w]; rrs certify (x^2*y^2*z^2*w^2) in (x^7, y^7, z^7, w^7)"
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["--json", "-c", program])
+    assert time.perf_counter() - start < 5.0
+    report = json.loads(out.getvalue())
+    assert code == 0
+    assert report["result"]["verified"] and report["result"]["derivative_chain"]
+    I = MonomialIdeal(4, [tuple(7 * (i == j) for j in range(4)) for i in range(4)])
+    q = least_window_by_branch_and_bound(mono(2, 2, 2, 2), I, 32)
+    assert report["result"]["q"] == q == 24
 
 
 class TestConstruct:
