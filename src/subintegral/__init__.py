@@ -24,7 +24,6 @@ from .arcs import (
     pullback_order,
     refute_star_membership,
     relative_membership,
-    sigma1_check,
 )
 from .closure import (
     i_greater,
@@ -52,11 +51,7 @@ from .errors import (
     UnsupportedIdeal,
 )
 from .examples import ExamplesReport, run_worked_examples
-from .ideals import (
-    MonomialIdeal,
-    minimal_generators,
-    ord_in,
-)
+from .ideals import MonomialIdeal, ord_in
 from .newton import (
     Facet,
     NewtonPolyhedron,

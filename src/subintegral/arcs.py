@@ -37,10 +37,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DimensionMismatch, TruncationTooSmall, UnsupportedIdeal
+from .errors import DimensionMismatch, UnsupportedIdeal
 from .ideals import MonomialIdeal
 from .linalg import Echelon, Row
-from .newton import rees_valuations
 from .poly import Exponent, SparsePoly
 from .reductions import PolyIdeal
 
@@ -238,16 +237,13 @@ def relative_membership(
     h_tuple: Sequence[SparsePoly],
     pair: SubmodulePair,
     arcs: ArcPair | Sequence[LocalArc],
-    trunc: int | None = None,
 ) -> bool:
     """Decide pulled-back membership in M + t*N over truncated series.
 
-    Slot s of every tuple is pulled back along arc s.  With trunc=None a
-    truncation strictly above every pullback degree is chosen.  An explicit
-    trunc must exceed the pullback order of every outer generator tuple
-    (guard checked).  A False verdict is sound at any truncation; for the
-    ideal pair from delta_pair_of_ideal a True verdict at the default
-    truncation is exact as well.
+    Slot s of every tuple is pulled back along arc s, and the series are
+    truncated strictly above every pullback degree.  A False verdict is
+    sound; for the ideal pair from delta_pair_of_ideal a True verdict is
+    exact as well.
     """
     arc_list = list(arcs)
     if len(arc_list) != pair.rank or len(h_tuple) != pair.rank:
@@ -260,21 +256,11 @@ def relative_membership(
     pulled_outer = [pull(t) for t in pair.outer]
     target = pull(h_tuple)
 
-    if trunc is None:
-        degree = 1
-        for tup in pulled_inner + pulled_outer + [target]:
-            for p in tup:
-                degree = max(degree, p.total_degree() + 1)
-        trunc = degree + 1
-    else:
-        for tup in pulled_outer:
-            order = min(
-                (p.min_degree() for p in tup if not p.is_zero), default=math.inf
-            )
-            if order is not math.inf and trunc <= order:
-                raise TruncationTooSmall(
-                    f"truncation {trunc} does not exceed outer generator order {order}"
-                )
+    degree = 1
+    for tup in pulled_inner + pulled_outer + [target]:
+        for p in tup:
+            degree = max(degree, p.total_degree() + 1)
+    trunc = degree + 1
 
     orders = (trunc,) * pair.rank
     ech = Echelon()
@@ -354,14 +340,14 @@ def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> boo
 # -- deterministic arc-pair sampling ----------------------------------------------
 
 
-class ArcSampler(
-    namedtuple(
-        "ArcSampler",
-        "seed count weight_bound coeff_set",
-        defaults=(0, 200, 3, (1, -1, 2, -2, 3)),
-    )
-):
-    """Seed, length, largest weight and coefficient choices of a stream."""
+# The sampled arcs: each component's weights are drawn from 1..3 (the second
+# term of a two-term component may reach 5), its coefficients from these.
+_WEIGHT_BOUND = 3
+_COEFFS = (1, -1, 2, -2, 3)
+
+
+class ArcSampler(namedtuple("ArcSampler", "seed count", defaults=(0, 200))):
+    """Seed and length of a stream."""
 
     __slots__ = ()
 
@@ -410,16 +396,16 @@ def arc_pair_stream(nvars: int, sampler: ArcSampler) -> Iterable[ArcPair]:
             if shape == 0 and nvars > 1:
                 comps.append(SparsePoly.zero(1))
             elif shape == 5:
-                w1 = rng.randint(1, sampler.weight_bound)
-                w2 = rng.randint(w1 + 1, sampler.weight_bound + 2)
-                c1 = rng.choice(sampler.coeff_set)
-                c2 = rng.choice(sampler.coeff_set)
+                w1 = rng.randint(1, _WEIGHT_BOUND)
+                w2 = rng.randint(w1 + 1, _WEIGHT_BOUND + 2)
+                c1 = rng.choice(_COEFFS)
+                c2 = rng.choice(_COEFFS)
                 comps.append(
                     SparsePoly(1, {(w1,): Fraction(c1), (w2,): Fraction(c2)})
                 )
             else:
-                w = rng.randint(1, sampler.weight_bound)
-                c = rng.choice(sampler.coeff_set)
+                w = rng.randint(1, _WEIGHT_BOUND)
+                c = rng.choice(_COEFFS)
                 comps.append(SparsePoly(1, {(w,): Fraction(c)}))
         return LocalArc(tuple(comps))
 
@@ -488,13 +474,6 @@ def refute_star_membership(
     return None
 
 
-def sigma1_check(h: SparsePoly, J: MonomialIdeal) -> bool:
-    """First valuative condition for the ideal-pair relative closure:
-    v(h) >= v(J) for every Rees valuation of J."""
-    vals = rees_valuations(J)
-    return all(v.value(h) >= v.value_on_ideal for v in vals)
-
-
 class ProbeOutcome(namedtuple("ProbeOutcome", "index refutation")):
     """The first refutation of probe number `index`, or None."""
 
@@ -524,7 +503,7 @@ def basic_facts_check(
     for idx, probe in enumerate(probes):
         refutation = None
         for j, arcs in enumerate(battery):
-            if not relative_membership(tuple(probe), pair, arcs, trunc=None):
+            if not relative_membership(tuple(probe), pair, arcs):
                 refutation = Refutation(pair=arcs, index=j)
                 break
         outcomes.append(ProbeOutcome(index=idx, refutation=refutation))

@@ -341,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error[io]: {exc}", file=sys.stderr)
             return 1
 

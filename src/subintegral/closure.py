@@ -74,20 +74,24 @@ def i_greater(ideal: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(ideal.nvars, corners)
 
 
-def in_integral_closure(f: SparsePoly, ideal: MonomialIdeal) -> bool:
-    """True iff every term of f passes every Rees-valuation bound."""
+def _terms_above_facets(f: SparsePoly, ideal: MonomialIdeal, slack: int) -> bool:
+    """True iff every term e of f has v(e) >= v(I) + slack for every Rees
+    valuation v of I: the membership test of facet_staircase's up-set."""
     vals = _require_finite_colength(ideal)
     if f.nvars != ideal.nvars:
         raise DimensionMismatch("polynomial and ideal variable counts differ")
     return all(
-        v.value_of_exponent(e) >= v.value_on_ideal for e, _ in f.items() for v in vals
+        v.value_of_exponent(e) >= v.value_on_ideal + slack
+        for e, _ in f.items()
+        for v in vals
     )
+
+
+def in_integral_closure(f: SparsePoly, ideal: MonomialIdeal) -> bool:
+    """True iff every term of f passes every Rees-valuation bound."""
+    return _terms_above_facets(f, ideal, 0)
 
 
 def in_i_greater(f: SparsePoly, ideal: MonomialIdeal) -> bool:
-    vals = _require_finite_colength(ideal)
-    if f.nvars != ideal.nvars:
-        raise DimensionMismatch("polynomial and ideal variable counts differ")
-    return all(
-        v.value_of_exponent(e) > v.value_on_ideal for e, _ in f.items() for v in vals
-    )
+    """True iff every term of f lies strictly above every bounded facet."""
+    return _terms_above_facets(f, ideal, 1)

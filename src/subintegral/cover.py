@@ -61,17 +61,12 @@ class MonicHypersurface(namedtuple("MonicHypersurface", "space_vars poly degree"
         return out
 
 
-def from_rrs(
-    system: RRSSystem, lifts: Sequence[SparsePoly] | None = None
-) -> MonicHypersurface:
-    """Build T^{2q+1} + sum C(2q+1, i) f_i(X) T^{2q+1-i} from a certificate.
+def from_rrs(system: RRSSystem) -> MonicHypersurface:
+    """Build T^{2q+1} + sum C(2q+1, i) a_i(X) T^{2q+1-i} from a certificate.
 
-    In a polynomial ring the coefficients are their own lifts, so `lifts`
-    defaults to them.
+    In a polynomial ring the coefficients are their own lifts.
     """
-    coeffs = list(lifts) if lifts is not None else list(system.coeffs)
-    if len(coeffs) != len(system.coeffs):
-        raise ValueError("need one lift per certificate coefficient")
+    coeffs = system.coeffs
     n_space = coeffs[0].nvars if coeffs else 1
     deg = 2 * system.q + 1
     total = SparsePoly.zero(n_space + 1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from functools import lru_cache
 from itertools import product
 
 from .errors import DimensionMismatch
@@ -167,13 +166,15 @@ class MonomialIdeal:
         return MonomialIdeal(self.nvars, sums)
 
     def power(self, k: int) -> "MonomialIdeal":
+        """I^k as a chain of k - 1 products by I; the unit ideal for k = 0."""
         if k < 0:
             raise ValueError("negative ideal power")
-        # Build a long chain of powers in steps, so that no miss recurses
-        # more than _POWER_STEP levels down.
-        for j in range(_POWER_STEP, k, _POWER_STEP):
-            _power(self, j)
-        return _power(self, k)
+        if k == 0:
+            return MonomialIdeal.unit(self.nvars)
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
 
     def colon(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """{a : a * other is contained in self}."""
@@ -288,23 +289,6 @@ class MonomialIdeal:
 # -- module-level operation names ------------------------------------------------
 
 
-def minimal_generators(
-    vectors: Sequence[Sequence[int]], nvars: int | None = None
-) -> MonomialIdeal:
-    """Minimalize a generating set into the unique antichain."""
-    vectors = [tuple(v) for v in vectors]
-    if nvars is None:
-        if not vectors:
-            raise ValueError("cannot infer variable count from an empty list")
-        nvars = len(vectors[0])
-    for v in vectors:
-        if len(v) != nvars:
-            raise DimensionMismatch(
-                f"exponent {v} has length {len(v)}, expected {nvars}"
-            )
-    return MonomialIdeal(nvars, vectors)
-
-
 def max_power_membership(b: Exponent, gens: Sequence[Exponent], cap: int) -> int:
     """Largest n <= cap such that x^b lies in the n-th power of the ideal
     generated by `gens`: maximize k_1 + ... + k_g subject to
@@ -357,16 +341,3 @@ def ord_in(f: SparsePoly, ideal: MonomialIdeal, cap: int = 64) -> int | float:
         return 0
     return min(max_power_membership(e, ideal.gens, cap) for e, _ in f.items())
 
-
-_POWER_STEP = 256
-
-
-@lru_cache(maxsize=1024)
-def _power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k as I^(k-1) * I, so that each power of an ideal is multiplied out
-    once however often it is asked for."""
-    if k == 0:
-        return MonomialIdeal.unit(ideal.nvars)
-    if k == 1:
-        return ideal
-    return _power(ideal, k - 1) * ideal

@@ -62,14 +62,6 @@ class SparsePoly:
         return cls(nvars, {(0,) * nvars: Fraction(value)})
 
     @classmethod
-    def variable(cls, nvars: int, index: int) -> "SparsePoly":
-        if not 0 <= index < nvars:
-            raise ValueError(f"variable index {index} out of range")
-        exp = [0] * nvars
-        exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
-
-    @classmethod
     def monomial(cls, exponent: Sequence[int], coeff=1) -> "SparsePoly":
         exp = tuple(exponent)
         return cls(len(exp), {exp: Fraction(coeff)})

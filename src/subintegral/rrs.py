@@ -52,16 +52,14 @@ class RRSSystem(namedtuple("RRSSystem", "q coeffs")):
 
 
 def window_equations(system: RRSSystem) -> list[TPoly]:
-    """The window polynomials F_n(T) = T^n + sum C(n,i) a_i T^{n-i}."""
-    out: list[TPoly] = []
-    nvars = system.coeffs[0].nvars
-    for n in system.window:
-        coeffs = [SparsePoly.zero(nvars) for _ in range(n + 1)]
-        coeffs[n] = SparsePoly.constant(nvars, 1)
-        for i in range(1, n + 1):
-            coeffs[n - i] = coeffs[n - i] + comb(n, i) * system.coeffs[i - 1]
-        out.append(tuple(coeffs))
-    return out
+    """The window polynomials F_n(T) = T^n + sum C(n,i) a_i T^{n-i}: the
+    coefficient of T^(n-i) is C(n,i) a_i, listed from T^0 up."""
+    a = system.coeffs
+    one = SparsePoly.constant(a[0].nvars, 1)
+    return [
+        tuple(comb(n, i) * a[i - 1] for i in range(n, 0, -1)) + (one,)
+        for n in system.window
+    ]
 
 
 def _powers(h: SparsePoly, top: int) -> list[SparsePoly]:
@@ -172,25 +170,22 @@ def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> list[tuple[int, ...]
     return out
 
 
-def search_at(
-    h: SparsePoly, ideal: MonomialIdeal, q: int, degree_slack: int
-) -> RRSSystem | None:
+def search_at(h: SparsePoly, ideal: MonomialIdeal, q: int) -> RRSSystem | None:
     """Solve the window identities at a fixed q with unknown coefficients.
 
     Unknowns are the coefficients of each a_i over the monomials of I^i of
-    total degree <= i*deg(h) + degree_slack; the identities are linear in
-    them, so a single sparse solve decides feasibility at this cutoff.
+    total degree <= (i + 2) * deg(h); the identities are linear in them, so
+    a single sparse solve decides feasibility at this cutoff.  I^i is built
+    as I^(i-1) * I, one product per i.
     """
     nvars = h.nvars
     deg_h = max(h.total_degree(), 1)
-    basis = {
-        i: _degree_basis(ideal.power(i), i * deg_h + degree_slack)
-        for i in range(1, 2 * q + 2)
-    }
-
-    h_powers = {0: SparsePoly.constant(nvars, 1)}
-    for n in range(1, 2 * q + 2):
-        h_powers[n] = h_powers[n - 1] * h
+    basis, power = {}, ideal
+    for i in range(1, 2 * q + 2):
+        if i > 1:
+            power = power * ideal
+        basis[i] = _degree_basis(power, (i + 2) * deg_h)
+    h_powers = _powers(h, 2 * q + 1)
 
     equations: dict[tuple[int, tuple[int, ...]], dict] = {}
 
@@ -233,20 +228,15 @@ def search_at(
 
 
 def bounded_search(
-    h: SparsePoly,
-    ideal: MonomialIdeal,
-    q_max: int = 6,
-    degree_slack: int | None = None,
+    h: SparsePoly, ideal: MonomialIdeal, q_max: int = 6
 ) -> RRSSystem | None:
     """First certificate found scanning q = 0, 1, ..., q_max.
 
-    The degree cutoff (default slack: twice deg h) is a completeness
-    heuristic, so not-found never certifies absence.
+    The degree cutoff of search_at is a completeness heuristic, so
+    not-found never certifies absence.
     """
-    if degree_slack is None:
-        degree_slack = 2 * max(h.total_degree(), 1)
     for q in range(q_max + 1):
-        found = search_at(h, ideal, q, degree_slack)
+        found = search_at(h, ideal, q)
         if found is not None:
             return found
     return None

@@ -327,6 +327,18 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert "IntersectionIsIGreater" in out
 
+    @pytest.mark.parametrize("content", [None, b"ring QQ[x,y]; iclose (x^2, y^2)\xff\n"])
+    def test_unreadable_file_is_an_io_error(self, tmp_path, capsys, content):
+        # A missing file, and a file that is not UTF-8 text.
+        script = tmp_path / "program.txt"
+        if content is not None:
+            script.write_bytes(content)
+        assert main([str(script)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[io]: ")
+        assert "Traceback" not in captured.err
+
 
 class TestWorkedExamples:
     def test_fresh_build_is_green(self):

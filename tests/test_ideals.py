@@ -12,12 +12,11 @@ from subintegral import (
     MonomialIdeal,
     i_greater,
     integral_closure,
-    minimal_generators,
     ord_in,
 )
 from subintegral import ideals
 from subintegral.closure import facet_staircase
-from subintegral.ideals import _power, staircase_corners
+from subintegral.ideals import staircase_corners
 from subintegral.poly import SparsePoly
 from subintegral.rrs import _degree_basis
 
@@ -35,14 +34,14 @@ def ideal(*exps):
 
 class TestMinimalGenerators:
     def test_dominated_generator_dropped(self):
-        I = minimal_generators([(2, 0), (1, 2), (0, 3), (2, 1)])
+        I = MonomialIdeal(2, [(2, 0), (1, 2), (0, 3), (2, 1)])
         assert I.gens == ((0, 3), (1, 2), (2, 0))
 
     def test_singleton(self):
-        assert minimal_generators([(1, 0)]).gens == ((1, 0),)
+        assert MonomialIdeal(2, [(1, 0)]).gens == ((1, 0),)
 
     def test_antichain_kept(self):
-        I = minimal_generators([(2, 0), (1, 1), (0, 2)])
+        I = MonomialIdeal(2, [(2, 0), (1, 1), (0, 2)])
         assert len(I.gens) == 3
 
     def test_idempotent_and_order_independent(self):
@@ -52,15 +51,15 @@ class TestMinimalGenerators:
                 tuple(rng.randint(0, 5) for _ in range(2)) for _ in range(6)
             ]
             vecs = [v for v in vecs if any(v)] or [(1, 0)]
-            I = minimal_generators(vecs)
+            I = MonomialIdeal(2, vecs)
             shuffled = vecs[:]
             rng.shuffle(shuffled)
-            assert minimal_generators(shuffled) == I
-            assert minimal_generators(list(I.gens)) == I
+            assert MonomialIdeal(2, shuffled) == I
+            assert MonomialIdeal(2, I.gens) == I
 
     def test_mixed_lengths_error(self):
         with pytest.raises(DimensionMismatch):
-            minimal_generators([(1, 0), (1, 0, 0)])
+            MonomialIdeal(2, [(1, 0), (1, 0, 0)])
 
 
 class TestIdealPower:
@@ -84,7 +83,7 @@ class TestIdealPower:
             b = rng.randint(0, 8 - a)
             assert I.power(a) * I.power(b) == I.power(a + b)
 
-    def test_each_power_multiplied_out_once(self, monkeypatch):
+    def test_power_is_a_chain_of_products(self, monkeypatch):
         I = ideal((3, 0), (1, 1), (0, 2))
         expected = [MonomialIdeal.unit(2), I]
         for _ in range(6):
@@ -97,13 +96,14 @@ class TestIdealPower:
             return original(a, b)
 
         monkeypatch.setattr(MonomialIdeal, "__mul__", counted)
-        _power.cache_clear()
-        assert [I.power(k) for k in range(8)] == expected
-        assert len(products) == 6 and I.power(7) is I.power(7)
-        assert len(products) == 6
+        for k in range(8):
+            products.clear()
+            assert I.power(k) == expected[k]
+            assert len(products) == max(k - 1, 0)
+            assert all(b is I for b in products)
 
     def test_long_power_chain(self):
-        # A cold power far past the build step does not exhaust the stack.
+        # A long power is a loop of products, not a recursion.
         assert ideal((1, 2)).power(1500).gens == ((1500, 3000),)
 
 

@@ -57,7 +57,7 @@ RECORDS = {
         lambda: SubmodulePair(1, ((mono(1, 0),),), ((mono(0, 1),),)),
     ),
     "ArcSampler": (
-        ("seed", "count", "weight_bound", "coeff_set"),
+        ("seed", "count"),
         lambda: ArcSampler(seed=4, count=60),
     ),
     "Refutation": (("pair", "index"), lambda: Refutation(PAIR, 5)),

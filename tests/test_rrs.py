@@ -140,11 +140,31 @@ class TestWorkGuards:
         def refuse(*args):
             raise AssertionError("an ideal power was multiplied out")
 
-        monkeypatch.setattr(ideals, "_power", refuse)
+        monkeypatch.setattr(MonomialIdeal, "power", refuse)
         monkeypatch.setattr(MonomialIdeal, "__mul__", refuse)
         for a, I in IGT_CASES:
             system = construct_from_igt(a, I)
             assert verify_failure(a, system, I) is None
+
+    def test_search_builds_each_power_by_one_product(self, monkeypatch):
+        products = []
+        original = MonomialIdeal.__mul__
+
+        def counted(a, b):
+            products.append(b)
+            return original(a, b)
+
+        def refuse(*args):
+            raise AssertionError("search_at called MonomialIdeal.power")
+
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counted)
+        monkeypatch.setattr(MonomialIdeal, "power", refuse)
+        h, I = mono(3, 3), ideal((4, 0), (0, 4))
+        for q in range(3):
+            products.clear()
+            search_at(h, I, q)
+            assert len(products) == 2 * q
+            assert all(b is I for b in products)
 
     def test_each_window_exponent_tested_once(self, monkeypatch):
         calls = []
@@ -237,7 +257,7 @@ class TestBoundedSearch:
 
         monkeypatch.setattr(Echelon, "add_row", spy)
         h, I = mono(3, 3), ideal((4, 0), (0, 4))
-        system = search_at(h, I, 1, 12)
+        system = search_at(h, I, 1)
         monkeypatch.undo()
         assert system is not None and verify(h, system, I)
         assert len(inserted) == 2
@@ -260,16 +280,15 @@ class TestBoundedSearch:
         while checked < 5:
             I = random_monomial_ideal(rng, 2, max_exp=2)
             a = random_igt_element(rng, i_greater(I))
-            slack = 2 * max(a.total_degree(), 1)
             found_q = None
             for q in range(4):
-                if search_at(a, I, q, slack) is not None:
+                if search_at(a, I, q) is not None:
                     found_q = q
                     break
             if found_q is None or found_q >= 3:
                 continue
             checked += 1
-            assert search_at(a, I, found_q + 1, slack) is not None
+            assert search_at(a, I, found_q + 1) is not None
 
 
 class TestDerivativeChain:
