@@ -163,8 +163,13 @@ def _truncated_product(
 def _monomial_order(exp: Sequence[int], orders: Sequence[int | float]) -> int | float:
     """t-order sum(k_i * ord(arc_i)) of x^exp along the arc; exact, since the
     leading coefficients multiply to a nonzero one.  A zero component makes
-    it math.inf."""
-    return sum(k * o for k, o in zip(exp, orders) if k)
+    it math.inf; a variable absent from x^exp adds nothing, even along a
+    zero component (0 * math.inf would be nan)."""
+    order = 0
+    for k, o in zip(exp, orders):
+        if k:
+            order += k * o
+    return order
 
 
 def pullback(f: SparsePoly, arc: LocalArc, order: int | float = math.inf) -> SparsePoly:
@@ -317,12 +322,32 @@ def _ideal_arc_module(
     return e, f, b0 / a0
 
 
+def _vanishes_above(
+    h: SparsePoly, orders: Sequence[int | float], bound: int | float
+) -> bool:
+    """Every term of h pulls back to 0 or to t-order > bound along an arc
+    with these component orders."""
+    for exp, _ in h.items():
+        order = _monomial_order(exp, orders)
+        if order <= bound and order != math.inf:
+            return False
+    return True
+
+
 def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> bool:
     """Exact relative-closure membership of (h, h) for the pair of I along
     one arc pair.  Equivalent to relative_membership on the ideal pair, but
     decided in the minimal exact quotient, a line or the plane in Q^2 (see
-    the module docstring), cached per (I, arc pair)."""
+    the module docstring), cached per (I, arc pair).  When every term of h
+    pulls back to 0 or above t^e (resp. t^f), read off the arcs' component
+    orders, h vanishes in the quotient and no pullback is taken."""
     e, f, slope = _ideal_arc_module(I, arcs)
+    if h.nvars != arcs.first.nvars:
+        raise DimensionMismatch("polynomial and arc variable counts differ")
+    if _vanishes_above(h, arcs.first.orders, e) and _vanishes_above(
+        h, arcs.second.orders, f
+    ):
+        return True
     if math.inf in (e, f):
         # A dead slot leaves no room at all: the target must vanish there,
         # and the live slot reduces to the valuative ideal-membership test.

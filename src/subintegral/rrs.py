@@ -26,7 +26,7 @@ from math import comb
 from operator import add
 
 from .closure import in_i_greater
-from .errors import BudgetExceeded, PreconditionError
+from .errors import BudgetExceeded, DimensionMismatch, PreconditionError
 from .ideals import MonomialIdeal, ord_in
 from .linalg import solve_sparse
 from .poly import SparsePoly
@@ -177,7 +177,16 @@ def search_at(h: SparsePoly, ideal: MonomialIdeal, q: int) -> RRSSystem | None:
     total degree <= (i + 2) * deg(h); the identities are linear in them, so
     a single sparse solve decides feasibility at this cutoff.  I^i is built
     as I^(i-1) * I, one product per i.
+
+    At q = 0 the window is the one identity h + a_1 = 0, so a_1 = -h and a
+    certificate exists exactly when h is in I; nothing is solved.
     """
+    if h.nvars != ideal.nvars:
+        raise DimensionMismatch("polynomial and ideal variable counts differ")
+    if q == 0:
+        if not ideal.contains(h):
+            return None
+        return _checked(h, RRSSystem(q=0, coeffs=(-h,)), ideal)
     nvars = h.nvars
     deg_h = max(h.total_degree(), 1)
     basis, power = {}, ideal
@@ -220,7 +229,10 @@ def search_at(h: SparsePoly, ideal: MonomialIdeal, q: int) -> RRSSystem | None:
             if solution.get((i, e))
         }
         coeffs.append(SparsePoly(nvars, terms))
-    candidate = RRSSystem(q=q, coeffs=tuple(coeffs))
+    return _checked(h, RRSSystem(q=q, coeffs=tuple(coeffs)), ideal)
+
+
+def _checked(h: SparsePoly, candidate: RRSSystem, ideal: MonomialIdeal) -> RRSSystem:
     failure = verify_failure(h, candidate, ideal)
     if failure is not None:
         raise AssertionError(f"search produced an invalid certificate: {failure}")

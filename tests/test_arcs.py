@@ -14,6 +14,7 @@ import pytest
 from subintegral import (
     ArcPair,
     ArcSampler,
+    DimensionMismatch,
     LocalArc,
     MonomialIdeal,
     SubmodulePair,
@@ -29,6 +30,7 @@ from subintegral import (
     refute_star_membership,
     relative_membership,
 )
+from subintegral import arcs as arcs_module
 from subintegral.arcs import _ideal_arc_module, _shared_stream
 from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
@@ -163,6 +165,14 @@ class TestDeadSlot:
         assert ideal_pair_membership(h, self.I, arcs) == expected
         assert relative_membership((h, h), delta_pair_of_ideal(self.I), arcs) == expected
 
+
+class TestRingCheck:
+    # x^5 y^5 z^5 lies far above the orders of (x^2, y^2) along (t, t), so
+    # a test that read only the first two exponents would pass it; h lives
+    # over another ring, which is an error before any order is read.
+    def test_three_variable_element_on_two_variable_ideal(self):
+        with pytest.raises(DimensionMismatch):
+            ideal_pair_membership(mono(5, 5, 5), CORNER, ArcPair(T_T, T_MINUS_T))
 
 
 class TestArcModule:
@@ -398,6 +408,27 @@ class TestRefuterWork:
         # The general path still eliminates, so the counters do count.
         relative_membership((mono(1, 1),) * 2, delta_pair_of_ideal(WEIGHTED), refutation.pair)
         assert calls["add_row"] > 0 and calls["contains"] == 1
+
+    def test_elements_above_the_orders_pull_nothing_back(self, monkeypatch):
+        # Every term of an element of I_> of a finite-colength I lies above
+        # the orders e and f of every arc pair, or on a zero component, so
+        # each pair is decided from the arcs' component orders alone.
+        h = mono(3, 3) - 2 * mono(5, 1)
+        I = ideal((4, 0), (1, 3), (0, 4))
+        pulled = []
+        original = arcs_module.pullback
+
+        def counted(f, arc, order=math.inf):
+            pulled.append(f)
+            return original(f, arc, order)
+
+        monkeypatch.setattr(arcs_module, "pullback", counted)
+        pairs = list(arc_pair_stream(2, ArcSampler(seed=1, count=100)))
+        _ideal_arc_module.cache_clear()
+        assert all(ideal_pair_membership(h, I, p) for p in pairs)
+        assert pulled and h not in pulled
+        assert refute_star_membership(h, I, ArcSampler(seed=1, count=100)) is None
+        assert h not in pulled
 
 
 class TestSigma1:

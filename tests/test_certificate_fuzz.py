@@ -6,7 +6,9 @@ must agree with f in I^k read off the multiplied-out power, in one to four
 variables, for the zero polynomial, the unit and zero ideals and multi-term
 f.  construct_from_igt must return the certificate of the SparsePoly
 recursion over products of coefficients and powers (tests/oracles.py) for
-random multi-term elements of I_> in one to three variables.
+random multi-term elements of I_> in one to three variables.  search_at at
+q = 0 must find a certificate exactly when every term of h is divisible by
+a generator, and then return a_1 = -h.
 """
 
 import pytest
@@ -14,7 +16,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from subintegral import BudgetExceeded, MonomialIdeal, construct_from_igt, i_greater, verify
+from subintegral import (
+    BudgetExceeded,
+    MonomialIdeal,
+    construct_from_igt,
+    i_greater,
+    search_at,
+    verify,
+)
 from subintegral.ideals import ord_in
 from subintegral.poly import SparsePoly
 
@@ -94,3 +103,29 @@ def test_construct_matches_poly_recursion(case):
     assert got == outcome(construct_by_poly_recursion, a, ideal)
     if not isinstance(got, str):
         assert verify(a, got, ideal)
+
+
+def test_q0_search_is_ideal_membership():
+    # The draws must reach h = 0, the zero ideal, and both outcomes.
+    kinds = set()
+
+    @SETTINGS
+    @hypothesis.given(power_cases())
+    def check(case):
+        h, ideal, _ = case
+        divisible = all(
+            any(all(a >= b for a, b in zip(exp, g)) for g in ideal.gens)
+            for exp, _ in h.items()
+        )
+        found = search_at(h, ideal, 0)
+        assert (found is not None) == divisible
+        if found is not None:
+            assert found.coeffs == (-h,) and verify(h, found, ideal)
+        kinds.add(divisible)
+        if h.is_zero:
+            kinds.add("zero h")
+        if ideal.is_zero:
+            kinds.add("zero ideal")
+
+    check()
+    assert kinds == {True, False, "zero h", "zero ideal"}

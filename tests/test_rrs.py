@@ -10,6 +10,7 @@ import pytest
 
 from subintegral import (
     BudgetExceeded,
+    DimensionMismatch,
     MonomialIdeal,
     PreconditionError,
     RRSSystem,
@@ -165,6 +166,28 @@ class TestWorkGuards:
             search_at(h, I, q)
             assert len(products) == 2 * q
             assert all(b is I for b in products)
+
+    def test_q0_solves_nothing(self, monkeypatch):
+        # At q = 0 the window is h + a_1 = 0: a_1 = -h, found iff h is in I.
+        def refuse(*args):
+            raise AssertionError("search_at called solve_sparse at q = 0")
+
+        monkeypatch.setattr(rrs, "solve_sparse", refuse)
+        h = mono(1, 2) - 3 * mono(4, 0)
+        assert search_at(h, WEIGHTED, 0).coeffs == (-h,)
+        assert search_at(h + mono(1, 1), WEIGHTED, 0) is None
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_mixed_rings_are_an_error(self, q):
+        # Not a "not found": h over three variables has no certificate
+        # over a two-variable ideal at any q.
+        with pytest.raises(DimensionMismatch):
+            search_at(SparsePoly.monomial((1, 1, 1)), CORNER, q)
+
+    def test_q0_candidate_is_still_verified(self, monkeypatch):
+        monkeypatch.setattr(rrs, "verify_failure", lambda *args: "forced failure")
+        with pytest.raises(AssertionError, match="forced failure"):
+            search_at(mono(1, 2), WEIGHTED, 0)
 
     def test_each_window_exponent_tested_once(self, monkeypatch):
         calls = []

@@ -40,3 +40,13 @@ def test_every_traced_target_resolves():
         if not callable(obj):
             missing.append(f"{module}.{path}")
     assert missing == []
+
+
+def test_arc_module_keeps_its_cache_info():
+    # The tracer's arcs.module wrapper reads cache_info at install to split
+    # module lookups into hits and misses; without it a traced run fails.
+    targets = {(module, path) for module, path, _ in trace_targets()}
+    assert ("arcs", "_ideal_arc_module") in targets
+    arcs = importlib.import_module("subintegral.arcs")
+    info = arcs._ideal_arc_module.cache_info()
+    assert info.hits >= 0 and info.misses >= 0
