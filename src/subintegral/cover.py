@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .poly import SparsePoly
 from .rrs import RRSSystem
@@ -80,62 +80,86 @@ def from_rrs(system: RRSSystem) -> MonicHypersurface:
     return MonicHypersurface(space_vars=n_space, poly=total, degree=deg)
 
 
-def _eval_derivatives(univ: list[Fraction], t: Fraction, count: int) -> list[Fraction]:
-    """Values of the univariate polynomial and its first `count` derivatives."""
-    out = []
-    coeffs = list(univ)
-    for _ in range(count + 1):
-        out.append(sum(c * t**j for j, c in enumerate(coeffs)))
-        coeffs = [coeffs[j] * j for j in range(1, len(coeffs))]
-    return out
+def _integer_multiple(univ: Sequence[Fraction]) -> list[int]:
+    """The coefficients times the lcm of their denominators: a polynomial
+    over the integers with the same roots and multiplicities."""
+    scale = lcm(*(c.denominator for c in univ))
+    return [c.numerator * (scale // c.denominator) for c in univ]
+
+
+def _multiplicity(coeffs: list[int], t: Fraction, cap: int) -> int:
+    """Largest m <= cap with (T - t)^m dividing the nonzero integer
+    polynomial (ascending coefficients).  With t = p/q in lowest terms,
+    qT - p is primitive, so it divides over Q exactly when it divides over
+    Z: each division runs from the top, b_(j-1) = (a_j + p b_j) / q, and
+    stops at the first inexact step or nonzero remainder."""
+    p, q = t.numerator, t.denominator
+    for m in range(cap):
+        quotient = [0] * (len(coeffs) - 1)
+        b = 0
+        for j in range(len(coeffs) - 1, 0, -1):
+            b, rest = divmod(coeffs[j] + p * b, q)
+            if rest:
+                return m
+            quotient[j - 1] = b
+        if coeffs[0] + p * b:
+            return m
+        coeffs = quotient
+    return cap
 
 
 def zz_membership(surface: MonicHypersurface, point: Sequence) -> bool:
-    """True iff F and its first floor(N/2) T-derivatives vanish at the point."""
+    """True iff F and its first floor(N/2) T-derivatives vanish at the point,
+    that is iff (T - t)^(ell+1) divides F(x, T)."""
     if len(point) != surface.space_vars + 1:
         raise ValueError("point has wrong length")
     x, t = point[:-1], Fraction(point[-1])
-    univ = surface.specialize(x)
-    return all(v == 0 for v in _eval_derivatives(univ, t, surface.ell))
+    univ = _integer_multiple(surface.specialize(x))
+    return _multiplicity(univ, t, surface.ell + 1) == surface.ell + 1
 
 
 def root_multiplicity(surface: MonicHypersurface, x: Sequence, t) -> int:
     """Largest m with (T - t)^m dividing F(x, T)."""
-    univ = surface.specialize(x)
-    t = Fraction(t)
-    values = _eval_derivatives(univ, t, surface.degree)
-    for m, v in enumerate(values):
-        if v != 0:
-            return m
-    return surface.degree  # monic: full multiplicity caps at the degree
+    univ = _integer_multiple(surface.specialize(x))
+    return _multiplicity(univ, Fraction(t), surface.degree)
 
 
-def _monic_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of two nonzero univariate polynomials (ascending coefficients)."""
+def _primitive(a: list[int]) -> list[int]:
+    content = gcd(*a)
+    return [c // content for c in a]
+
+
+def _primitive_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials (ascending
+    coefficients), by pseudo-remainders kept primitive."""
     while b:
         a, b = b, list(a)
-        while len(b) >= len(a):  # b := b mod a
-            factor, shift = b[-1] / a[-1], len(b) - len(a)
+        while len(b) >= len(a):  # b := lead(a)^k * b mod a
+            factor, shift = b[-1], len(b) - len(a)
+            b = [a[-1] * c for c in b]
             for i, c in enumerate(a):
                 b[shift + i] -= factor * c
             while b and b[-1] == 0:
                 b.pop()
-    return [c / a[-1] for c in a]
+        if b:
+            b = _primitive(b)
+    return _primitive(a)
 
 
 def deep_roots(surface: MonicHypersurface, x: Sequence) -> list[Fraction]:
     """Roots of F(x, T) of multiplicity at least floor(N/2) + 1.
 
     Such a root r is unique (two would need more than N roots), so
-    the monic G = gcd(F, F', ..., F^(ell)) is (T - r)^k and r = -g_(k-1) / k
-    is rational.
+    G = gcd(F, F', ..., F^(ell)) is c (T - r)^k and r = -g_(k-1) / (k c)
+    is rational.  The gcd is taken over the integers, on F times the lcm of
+    its denominators.
     """
-    g = deriv = surface.specialize(x)
+    g = deriv = _integer_multiple(surface.specialize(x))
     for _ in range(surface.ell):
         deriv = [j * c for j, c in enumerate(deriv)][1:]
-        g = _monic_gcd(g, deriv)
+        g = _primitive_gcd(g, deriv)
     k = len(g) - 1
-    return [-g[k - 1] / k] if k else []
+    return [Fraction(-g[k - 1], k * g[k])] if k else []
 
 
 def unique_deep_root_check(

@@ -251,3 +251,60 @@ class TestDeepRootsAgainstSympy:
                 [Fraction(int(r.p), int(r.q))] if degree - 2 * k > degree // 2 else []
             )
             assert self.check((T**2 - 3) ** (degree // 2) * T ** (degree % 2)) == []
+
+
+def _derivative_multiplicity(coeffs, t):
+    """Multiplicity of t as a root, from the values of the T-derivatives in
+    exact Fraction arithmetic (ascending coefficients, nonzero polynomial)."""
+    m = 0
+    while sum(c * t**j for j, c in enumerate(coeffs)) == 0:
+        coeffs = [j * c for j, c in enumerate(coeffs)][1:]
+        m += 1
+    return m
+
+
+class TestIntegerDivisionAgainstDerivatives:
+    """root_multiplicity, zz_membership and deep_roots work on F times the
+    lcm of its denominators, by exact integer division by qT - p; they agree
+    with the T-derivatives of F at t in Fractions, for planted rational roots,
+    rational coefficients and points where a division is inexact."""
+
+    @staticmethod
+    def polymul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def test_planted_roots(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(
+            r=fractions,
+            m=st.integers(0, 5),
+            rest=st.lists(fractions, max_size=4),
+            t=fractions,
+        )
+        def check(r, m, rest, t):
+            coeffs = [Fraction(1)]
+            for _ in range(m):
+                coeffs = self.polymul(coeffs, [-r, Fraction(1)])
+            coeffs = self.polymul(coeffs, [*rest, Fraction(1)])
+            hypothesis.assume(len(coeffs) > 1)
+            surface = univariate_surface(
+                {td: SparsePoly.constant(1, c) for td, c in enumerate(coeffs) if c}
+            )
+            for root in (r, t):
+                want = _derivative_multiplicity(coeffs, root)
+                assert root_multiplicity(surface, [0], root) == want
+                assert zz_membership(surface, [0, root]) == (want >= surface.ell + 1)
+            deep = deep_roots(surface, [0])
+            assert all(_derivative_multiplicity(coeffs, d) >= surface.ell + 1 for d in deep)
+            if m >= surface.ell + 1:
+                assert deep == [r]
+
+        check()
