@@ -25,6 +25,14 @@ when e and f are finite: the generator that attains e has a_g != 0.  So
 (h, h) is in the module exactly when neither pullback of h has a term
 below t^e (resp. t^f) and (h_e, h_f) lies in that span, which for a line
 of slope s is the one product h_f = s * h_e.  No elimination is needed.
+
+The refuter walks one table per (ideal, sampler) whose row k holds pair k
+of the shared stream with the module (e, f, slope) of the ideal along it.
+A query looks the table up once and decides every row with the exponents
+of h read once; whether h vanishes above the ideal's order along an arc
+depends only on the arc's component orders, so that test is made once per
+distinct order tuple.  Rows are built as the first query reaches them and
+kept for every later query on an equal ideal.
 """
 
 from __future__ import annotations
@@ -323,31 +331,45 @@ def _ideal_arc_module(
 
 
 def _vanishes_above(
-    h: SparsePoly, orders: Sequence[int | float], bound: int | float
+    exps: Iterable[Exponent], orders: Sequence[int | float], bound: int | float
 ) -> bool:
-    """Every term of h pulls back to 0 or to t-order > bound along an arc
-    with these component orders."""
-    for exp, _ in h.items():
+    """Every monomial x^exp pulls back to 0 or to t-order > bound along an
+    arc with these component orders."""
+    for exp in exps:
         order = _monomial_order(exp, orders)
         if order <= bound and order != math.inf:
             return False
     return True
 
 
-def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> bool:
-    """Exact relative-closure membership of (h, h) for the pair of I along
-    one arc pair.  Equivalent to relative_membership on the ideal pair, but
-    decided in the minimal exact quotient, a line or the plane in Q^2 (see
-    the module docstring), cached per (I, arc pair).  When every term of h
-    pulls back to 0 or above t^e (resp. t^f), read off the arcs' component
-    orders, h vanishes in the quotient and no pullback is taken."""
-    e, f, slope = _ideal_arc_module(I, arcs)
-    if h.nvars != arcs.first.nvars:
-        raise DimensionMismatch("polynomial and arc variable counts differ")
-    if _vanishes_above(h, arcs.first.orders, e) and _vanishes_above(
-        h, arcs.second.orders, f
-    ):
-        return True
+def _pair_holds(
+    h: SparsePoly,
+    exps: tuple[Exponent, ...],
+    above: dict,
+    arcs: ArcPair,
+    e: int | float,
+    f: int | float,
+    slope: Fraction | None,
+) -> bool:
+    """Membership of (h, h) along one arc pair, given the module (e, f,
+    slope) of the ideal I along it and the exponents of h.
+
+    When every term of h pulls back to 0 or above t^e (resp. t^f), read off
+    the arcs' component orders, h vanishes in the quotient and no pullback
+    is taken.  The order of I along an arc, and so this test, depends on the
+    arc only through its component orders, which few arcs of a stream
+    differ in; `above` keeps the verdict per component-order tuple, for one
+    h and one I."""
+    first, second = arcs.first.orders, arcs.second.orders
+    vanishes = above.get(first)
+    if vanishes is None:
+        vanishes = above[first] = _vanishes_above(exps, first, e)
+    if vanishes:
+        vanishes = above.get(second)
+        if vanishes is None:
+            vanishes = above[second] = _vanishes_above(exps, second, f)
+        if vanishes:
+            return True
     if math.inf in (e, f):
         # A dead slot leaves no room at all: the target must vanish there,
         # and the live slot reduces to the valuative ideal-membership test.
@@ -360,6 +382,18 @@ def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> boo
     if v1.min_degree() not in (-1, e) or v2.min_degree() not in (-1, f):
         return False
     return slope is None or v2.coefficient((f,)) == slope * v1.coefficient((e,))
+
+
+def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> bool:
+    """Exact relative-closure membership of (h, h) for the pair of I along
+    one arc pair.  Equivalent to relative_membership on the ideal pair, but
+    decided in the minimal exact quotient, a line or the plane in Q^2 (see
+    the module docstring), from the module cached per (I, arc pair)."""
+    e, f, slope = _ideal_arc_module(I, arcs)
+    if h.nvars != arcs.first.nvars:
+        raise DimensionMismatch("polynomial and arc variable counts differ")
+    exps = tuple(exp for exp, _ in h.items())
+    return _pair_holds(h, exps, {}, arcs, e, f, slope)
 
 
 # -- deterministic arc-pair sampling ----------------------------------------------
@@ -448,34 +482,49 @@ def arc_pair_stream(nvars: int, sampler: ArcSampler) -> Iterable[ArcPair]:
 
 
 class _DrawnOnce:
-    """The pairs of one arc_pair_stream, drawn on demand and kept.  Every
-    iteration starts at pair 0 and the stream is drawn no further than its
-    furthest reader went.  Pairs are drawn and read under the lock, so
-    readers in several threads see the same pairs."""
+    """The items of one iterable, drawn on demand and kept.  Every iteration
+    starts at item 0 and the iterable is drawn no further than its furthest
+    reader went.  Items are drawn under the lock, so readers in several
+    threads see the same items; items already drawn are read without it."""
 
-    def __init__(self, stream: Iterable[ArcPair]):
-        self._source = iter(stream)
-        self._drawn: list[ArcPair] = []
+    def __init__(self, items: Iterable):
+        self._source = iter(items)
+        self._drawn: list = []
         self._lock = threading.Lock()
 
-    def __iter__(self) -> Iterator[ArcPair]:
+    def __iter__(self) -> Iterator:
+        drawn = self._drawn
         index = 0
-        while True:
-            with self._lock:
-                if index == len(self._drawn):
-                    pair = next(self._source, None)
-                    if pair is None:
-                        return
-                    self._drawn.append(pair)
-                pair = self._drawn[index]
-            yield pair
+        while index < len(drawn) or self._draw(index):
+            yield drawn[index]
             index += 1
+
+    def _draw(self, index: int) -> bool:
+        """Make item `index` exist; False when the iterable ends before it."""
+        with self._lock:
+            if index < len(self._drawn):
+                return True
+            item = next(self._source, None)
+            if item is None:
+                return False
+            self._drawn.append(item)
+            return True
 
 
 @lru_cache(maxsize=8)
 def _shared_stream(nvars: int, sampler: ArcSampler) -> _DrawnOnce:
     """One arc_pair_stream(nvars, sampler) shared by every query on it."""
     return _DrawnOnce(arc_pair_stream(nvars, sampler))
+
+
+@lru_cache(maxsize=256)
+def _module_table(I: MonomialIdeal, sampler: ArcSampler) -> _DrawnOnce:
+    """The rows (arcs, e, f, slope) of I along the shared stream, one per
+    pair, with the module from _ideal_arc_module; one table per (ideal,
+    sampler), shared by every query on it."""
+    return _DrawnOnce(
+        (arcs, *_ideal_arc_module(I, arcs)) for arcs in _shared_stream(I.nvars, sampler)
+    )
 
 
 class Refutation(namedtuple("Refutation", "pair index")):
@@ -490,11 +539,17 @@ def refute_star_membership(
 ) -> Refutation | None:
     """Search the deterministic arc-pair stream for a membership failure of
     (h, h) against the pair of I.  Returns the first refuting pair, or None
-    (inconclusive)."""
+    (inconclusive).  The modules of I come from its table, looked up once
+    per query, and each pair is decided as in ideal_pair_membership."""
     if I.is_zero or not I.finite_colength:
         raise UnsupportedIdeal("refutation needs a finite-colength ideal")
-    for index, arcs in enumerate(_shared_stream(I.nvars, sampler or ArcSampler())):
-        if not ideal_pair_membership(h, I, arcs):
+    if h.nvars != I.nvars:
+        raise DimensionMismatch("polynomial and ideal variable counts differ")
+    exps = tuple(exp for exp, _ in h.items())
+    above: dict = {}
+    table = _module_table(I, sampler or ArcSampler())
+    for index, (arcs, e, f, slope) in enumerate(table):
+        if not _pair_holds(h, exps, above, arcs, e, f, slope):
             return Refutation(pair=arcs, index=index)
     return None
 

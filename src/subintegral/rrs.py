@@ -170,13 +170,21 @@ def _degree_basis(ideal: MonomialIdeal, max_degree: int) -> list[tuple[int, ...]
     return out
 
 
-def search_at(h: SparsePoly, ideal: MonomialIdeal, q: int) -> RRSSystem | None:
+def search_at(
+    h: SparsePoly,
+    ideal: MonomialIdeal,
+    q: int,
+    *,
+    powers: list[MonomialIdeal] | None = None,
+) -> RRSSystem | None:
     """Solve the window identities at a fixed q with unknown coefficients.
 
     Unknowns are the coefficients of each a_i over the monomials of I^i of
     total degree <= (i + 2) * deg(h); the identities are linear in them, so
     a single sparse solve decides feasibility at this cutoff.  I^i is built
-    as I^(i-1) * I, one product per i.
+    as I^(i-1) * I, one product per i.  `powers`, when given, is the list
+    [I, I^2, ...] so far; it is extended in place up to I^(2q+1), so that
+    bounded_search builds each power once for every q it tries.
 
     At q = 0 the window is the one identity h + a_1 = 0, so a_1 = -h and a
     certificate exists exactly when h is in I; nothing is solved.
@@ -189,11 +197,13 @@ def search_at(h: SparsePoly, ideal: MonomialIdeal, q: int) -> RRSSystem | None:
         return _checked(h, RRSSystem(q=0, coeffs=(-h,)), ideal)
     nvars = h.nvars
     deg_h = max(h.total_degree(), 1)
-    basis, power = {}, ideal
-    for i in range(1, 2 * q + 2):
-        if i > 1:
-            power = power * ideal
-        basis[i] = _degree_basis(power, (i + 2) * deg_h)
+    if powers is None:
+        powers = [ideal]
+    while len(powers) < 2 * q + 1:
+        powers.append(powers[-1] * ideal)
+    basis = {
+        i: _degree_basis(powers[i - 1], (i + 2) * deg_h) for i in range(1, 2 * q + 2)
+    }
     h_powers = _powers(h, 2 * q + 1)
 
     equations: dict[tuple[int, tuple[int, ...]], dict] = {}
@@ -245,10 +255,12 @@ def bounded_search(
     """First certificate found scanning q = 0, 1, ..., q_max.
 
     The degree cutoff of search_at is a completeness heuristic, so
-    not-found never certifies absence.
+    not-found never certifies absence.  The powers I, ..., I^(2 q_max + 1)
+    are built once, as the first q that needs each one reaches it.
     """
+    powers = [ideal]
     for q in range(q_max + 1):
-        found = search_at(h, ideal, q)
+        found = search_at(h, ideal, q, powers=powers)
         if found is not None:
             return found
     return None

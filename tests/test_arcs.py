@@ -31,7 +31,7 @@ from subintegral import (
     relative_membership,
 )
 from subintegral import arcs as arcs_module
-from subintegral.arcs import _ideal_arc_module, _shared_stream
+from subintegral.arcs import _ideal_arc_module, _module_table, _shared_stream
 from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
@@ -173,6 +173,20 @@ class TestRingCheck:
     def test_three_variable_element_on_two_variable_ideal(self):
         with pytest.raises(DimensionMismatch):
             ideal_pair_membership(mono(5, 5, 5), CORNER, ArcPair(T_T, T_MINUS_T))
+
+
+class TestRefuterRingCheck:
+    # h must live over the ideal's ring before any pair is drawn, even when
+    # the stream is empty.
+    @pytest.mark.parametrize("count", [0, 1, 100])
+    def test_mixed_rings_raise_up_front(self, count):
+        with pytest.raises(DimensionMismatch):
+            refute_star_membership(mono(5, 5, 5), CORNER, ArcSampler(seed=0, count=count))
+        with pytest.raises(DimensionMismatch):
+            refute_star_membership(mono(1), CORNER, ArcSampler(seed=0, count=count))
+
+    def test_empty_stream_is_inconclusive(self):
+        assert refute_star_membership(mono(1, 1), CORNER, ArcSampler(seed=0, count=0)) is None
 
 
 class TestArcModule:
@@ -379,7 +393,8 @@ class TestRefuter:
 
 class TestRefuterWork:
     # Noise-free work counts of one fixed refuter input: no elimination at
-    # all, and one module per distinct (ideal, arc pair).
+    # all, one module per distinct (ideal, arc pair), and none looked up
+    # again once the ideal's module table holds it.
     def test_no_echelon_and_one_module_per_pair(self, monkeypatch):
         calls = {"add_row": 0, "contains": 0}
 
@@ -396,6 +411,7 @@ class TestRefuterWork:
             monkeypatch.setattr(Echelon, name, counted(name))
         sampler = ArcSampler(seed=1, count=100)
         _ideal_arc_module.cache_clear()
+        _module_table.cache_clear()
         # 100 pairs, two of them repeats of earlier ones.
         assert refute_star_membership(mono(2, 0) + 3 * mono(1, 2), WEIGHTED, sampler) is None
         info = _ideal_arc_module.cache_info()
@@ -403,11 +419,40 @@ class TestRefuterWork:
         refutation = refute_star_membership(mono(1, 1), WEIGHTED, sampler)
         assert refutation.index == 5
         info = _ideal_arc_module.cache_info()
-        assert (info.misses, info.hits) == (98, 8)
+        assert (info.misses, info.hits) == (98, 2)
         assert calls == {"add_row": 0, "contains": 0}
         # The general path still eliminates, so the counters do count.
         relative_membership((mono(1, 1),) * 2, delta_pair_of_ideal(WEIGHTED), refutation.pair)
         assert calls["add_row"] > 0 and calls["contains"] == 1
+
+    def test_warm_query_looks_up_one_table(self, monkeypatch):
+        # A query on an ideal whose table is built hashes the freshly parsed
+        # ideal once, for the table lookup, and looks up no module.
+        sampler = ArcSampler(seed=3, count=100)
+        h = mono(3, 3) - 2 * mono(5, 1)
+        first = ideal((4, 0), (1, 3), (0, 4))
+        assert refute_star_membership(h, first, sampler) is None
+        modules, hashes = [], []
+        original_module = arcs_module._ideal_arc_module
+        original_hash = MonomialIdeal.__hash__
+
+        def module(I, arcs):
+            modules.append(arcs)
+            return original_module(I, arcs)
+
+        def counted_hash(self):
+            hashes.append(self)
+            return original_hash(self)
+
+        monkeypatch.setattr(arcs_module, "_ideal_arc_module", module)
+        monkeypatch.setattr(MonomialIdeal, "__hash__", counted_hash)
+        again = ideal((4, 0), (1, 3), (0, 4))
+        assert again is not first
+        for element, refuted in ((h, False), (mono(1, 1), True)):
+            hashes.clear()
+            assert (refute_star_membership(element, again, sampler) is not None) == refuted
+            assert modules == []
+            assert len(hashes) <= 1
 
     def test_elements_above_the_orders_pull_nothing_back(self, monkeypatch):
         # Every term of an element of I_> of a finite-colength I lies above

@@ -4,7 +4,10 @@ with the general truncated test on delta_pair_of_ideal, for multi-term
 elements whose terms cancel along the arcs and for arbitrary arc pairs,
 whose modules take every shape: a line, the plane, a dead slot.  Elements
 with terms at, just above and below the module's orders check the pairs
-that the fast path decides on the arcs' component orders alone."""
+that the fast path decides on the arcs' component orders alone.  The
+refuter, which walks a cached module table per ideal, agrees with the
+per-pair test over the whole stream, cold, warm and after its caches are
+emptied."""
 
 import math
 from fractions import Fraction
@@ -16,15 +19,18 @@ st = hypothesis.strategies
 
 from subintegral import (
     ArcPair,
+    ArcSampler,
     LocalArc,
     MonomialIdeal,
+    arc_pair_stream,
     delta_pair_of_ideal,
     ideal_pair_membership,
     pullback,
     pullback_order,
+    refute_star_membership,
     relative_membership,
 )
-from subintegral.arcs import _ideal_arc_module
+from subintegral.arcs import Refutation, _ideal_arc_module, _module_table, _shared_stream
 from subintegral.poly import SparsePoly
 
 COEFFS = [1, -1, 2, -2, Fraction(1, 2), 3]
@@ -192,4 +198,126 @@ def test_order_shortcut_matches_general_path():
     assert kinds == {
         "orders", "pullback", "True", "False", "at order", "cancel", "dead",
         "zero component", "two-term component", "zero h",
+    }
+
+
+def first_failure(h, I, sampler):
+    """The refuter's answer, pair by pair through ideal_pair_membership."""
+    for index, arcs in enumerate(arc_pair_stream(I.nvars, sampler)):
+        if not ideal_pair_membership(h, I, arcs):
+            return Refutation(pair=arcs, index=index)
+    return None
+
+
+def between(I):
+    """The points halfway between two generators, rounded down and up: on
+    or near the Newton boundary, where sampled pairs refute."""
+    return sorted({
+        tuple((a + b + up) // 2 for a, b in zip(g, k))
+        for g in I.gens for k in I.gens if g < k for up in (0, 1)
+    })
+
+
+@st.composite
+def refuter_cases(draw):
+    """A finite-colength ideal in 1-3 variables, two elements of 0-3 terms
+    and a sampler.  The first element is often a unit, a variable or a
+    generator's neighbour, which the stream's prefix refutes early; the
+    second sometimes has two terms that cancel along an arc whose
+    components agree.  Terms come from the generators, their neighbours,
+    the points between two generators, or anywhere."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    gens = [tuple(a if j == i else 0 for j in range(n))
+            for i, a in enumerate(draw(st.tuples(*[st.integers(1, 5)] * n)))]
+    gens += draw(st.lists(exponent.filter(any), max_size=2))
+    I = MonomialIdeal(n, gens)
+
+    def times(e, i):
+        return tuple(k + (j == i) for j, k in enumerate(e))
+
+    pool = list(I.gens) + [times(g, i) for g in I.gens for i in range(n)]
+    pool += [(0,) * n, times((0,) * n, 0)] + between(I)
+
+    def element(low, high):
+        h = SparsePoly.zero(n)
+        for _ in range(draw(st.integers(low, high))):
+            e = draw(st.one_of(st.sampled_from(pool), exponent))
+            h = h + SparsePoly.monomial(e, draw(st.sampled_from(COEFFS)))
+        return h
+
+    early = element(1, 2)
+    h = element(0, 3)
+    if n > 1 and draw(st.booleans()):
+        m = draw(st.sampled_from(pool))
+        h = h + SparsePoly.monomial(times(m, 0)) - SparsePoly.monomial(times(m, 1))
+    count = draw(st.one_of(st.integers(1, 150), st.sampled_from([100, 150])))
+    sampler = ArcSampler(seed=draw(st.integers(0, 3)), count=count)
+    return I, early, h, sampler
+
+
+def clear_caches():
+    for cache in (_module_table, _ideal_arc_module, _shared_stream):
+        cache.cache_clear()
+
+
+def test_refuter_matches_per_pair_oracle():
+    # Each case runs cold, warm, after an early refutation on the same
+    # table, on a fresh equal ideal after each cache is emptied, and for the
+    # monomials between two generators on the warm table.  The draws must
+    # reach refutations at dead-slot pairs and at pairs with a finite
+    # module, among them a pair whose first slot h vanishes in while the
+    # second has unequal component orders; inconclusive walks; an early
+    # refutation followed by a longer walk; and h = 0.
+    kinds = set()
+
+    def note(h, I, refutation):
+        if refutation is None:
+            kinds.add("inconclusive")
+            return
+        e, f, _ = _ideal_arc_module(I, refutation.pair)
+        kinds.add("dead slot" if math.inf in (e, f) else "finite module")
+        first, second = refutation.pair
+        if first.orders != second.orders and all(
+            pullback_order(SparsePoly.monomial(exp), first) > e for exp, _ in h.items()
+        ):
+            kinds.add("first slot above its order")
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(refuter_cases())
+    def check(case):
+        I, early, h, sampler = case
+        expected = first_failure(h, I, sampler)
+        clear_caches()
+        assert refute_star_membership(h, I, sampler) == expected  # cold
+        assert refute_star_membership(h, I, sampler) == expected  # warm
+
+        clear_caches()
+        first = refute_star_membership(early, I, sampler)
+        assert first == first_failure(early, I, sampler)
+        assert refute_star_membership(h, I, sampler) == expected
+        reached = sampler.count if expected is None else expected.index + 1
+        if first is not None and first.index + 1 < reached:
+            kinds.add("early, then further")
+
+        # A fresh ideal equal to I finds the table built for I.
+        again = MonomialIdeal(I.nvars, I.gens)
+        for cache in (_ideal_arc_module, _module_table, _shared_stream):
+            cache.cache_clear()
+            assert refute_star_membership(h, again, sampler) == expected
+            assert refute_star_membership(early, again, sampler) == first
+
+        for exp in between(I):
+            m = SparsePoly.monomial(exp)
+            refutation = refute_star_membership(m, I, sampler)
+            assert refutation == first_failure(m, I, sampler)
+            note(m, I, refutation)
+        note(h, I, expected)
+        if h.is_zero:
+            kinds.add("zero h")
+
+    check()
+    assert kinds == {
+        "early, then further", "inconclusive", "dead slot", "finite module", "zero h",
+        "first slot above its order",
     }

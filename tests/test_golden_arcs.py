@@ -39,6 +39,15 @@ PROGRAMS = [
     "ring QQ[x,y,z]; relclose (y^2*z) in (x^2, x*y^2, y^4, z^3)",
     "ring QQ[x,y,z]; relclose (-x^3*y^2*z + 2*x*y^2) in (x^3, x*y^2*z, y^4, z^3)",
     "ring QQ[x,y,z]; relclose (x^2*y*z + x*y^2*z) in (x^3, y^2, z^3, x*y*z)",
+    # one ideal three times: cold and inconclusive (or refuted mid-stream,
+    # which leaves the rest of the stream undrawn), refuted early, then a
+    # full walk
+    "ring QQ[x,y]; ideal I = (x^6, y^5); relclose (x^3*y^3 - 2*x^5*y^2) in I; "
+    "relclose (x*y^4) in I; relclose (x^2*y^4 + x^4*y^3 - x^5*y) in I",
+    "ring QQ[x,y]; ideal I = (x^6, y^5); relclose (x^2*y^3) in I; "
+    "relclose (x^3*y^2) in I; relclose (x^4*y^4 - x^5*y^3) in I",
+    "ring QQ[x,y,z]; ideal I = (x^3, y^3, z^2, x*y*z); relclose (x^2*y^2 + y^2*z) in I; "
+    "relclose (y*z) in I; relclose (x^2*z - 3*x*y^2) in I",
     # classify: refuted after the search, certified, via I_>
     "ring QQ[x,y]; classify (x*y) in (x^2, y^2)",
     "ring QQ[x,y]; classify (x^2*y) in (x^4, y^3)",

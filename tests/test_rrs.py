@@ -167,6 +167,38 @@ class TestWorkGuards:
             assert len(products) == 2 * q
             assert all(b is I for b in products)
 
+    def test_bounded_search_builds_each_power_once(self, monkeypatch):
+        # Up to q_max = 4 the search needs I, ..., I^9: 8 products in all,
+        # where building the powers afresh for each q takes 0 + 2 + ... + 8.
+        products = []
+        original = MonomialIdeal.__mul__
+
+        def counted(a, b):
+            products.append(b)
+            return original(a, b)
+
+        monkeypatch.setattr(MonomialIdeal, "__mul__", counted)
+        I = ideal((2, 0), (0, 2))
+        assert bounded_search(mono(1, 1), I, q_max=4) is None
+        assert len(products) == 8
+        assert all(b is I for b in products)
+
+    @pytest.mark.parametrize(
+        "h, I",
+        [
+            (mono(2, 2), ideal((3, 0), (1, 3), (0, 4))),
+            (mono(4, 3), ideal((5, 0), (0, 5))),
+            (mono(2, 0) + mono(1, 3), ideal((2, 0), (0, 4))),
+            (mono(2, 3), ideal((4, 0), (0, 5))),
+            (mono(3, 1), ideal((5, 0), (0, 2))),
+        ],
+    )
+    def test_shared_powers_give_the_same_certificate(self, h, I):
+        # Found at q = 1 or 2, after the lower q have built the powers.
+        found = bounded_search(h, I, q_max=3)
+        assert found is not None and found.q >= 1
+        assert found == search_at(h, I, found.q)
+
     def test_q0_solves_nothing(self, monkeypatch):
         # At q = 0 the window is h + a_1 = 0: a_1 = -h, found iff h is in I.
         def refuse(*args):
