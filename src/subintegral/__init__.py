@@ -4,26 +4,21 @@ The library computes, over arbitrary-precision rationals: Newton polyhedra
 and Rees valuations of monomial ideals, integral closures and the ideal of
 elements strictly above every bounded facet, certificates of weak
 subintegrality and their branched-cover geometry, reductions, cores and
-multiplicities, and arc-pair relative-closure tests with a sampling
-refuter.  Everything is deterministic and immutable, hence thread-safe.
+multiplicities, and the relative-closure test of an ideal's own pair along
+arc pairs, with a sampling refuter.  Everything is deterministic and
+immutable, hence thread-safe.
 """
 
 from .arcs import (
     ArcPair,
     ArcSampler,
     LocalArc,
-    ProbeOutcome,
     Refutation,
-    SubmodulePair,
     arc_pair_stream,
-    basic_facts_check,
-    delta_pair_of_ideal,
     ideal_pair_membership,
-    prefix_arc_pairs,
     pullback,
     pullback_order,
     refute_star_membership,
-    relative_membership,
 )
 from .closure import (
     i_greater,
@@ -57,7 +52,6 @@ from .newton import (
     NewtonPolyhedron,
     ReesValuation,
     newton_polyhedron,
-    np_membership,
     rees_valuations,
 )
 from .parser import Request, parse, parse_ideal_text, parse_poly_text
@@ -75,7 +69,6 @@ from .reductions import (
     is_reduction_monomial,
     is_reduction_parameter,
     multiplicity,
-    reduction_from_igt,
     star_of_min_reduction,
 )
 from .rrs import (

@@ -1,17 +1,22 @@
-"""Arc-pair relative-closure tests.
+"""Arc-pair relative-closure tests for the pair of a monomial ideal.
 
-A local arc sends each ambient variable to a univariate polynomial in t
-with zero constant term.  Pulling a pair of modules (M, N) of r-tuples back
-along r arcs (one per slot) reduces relative-closure membership
+The relative closure of a pair of modules M inside N of r-tuples is tested
+along r local arcs, one per slot.  A local arc sends each ambient variable
+to a univariate polynomial in t with zero constant term; pulling back along
+the arcs reduces membership of h to
 
     pullback(h) in span(pullback(M)) + t * span(pullback(N))
 
-to exact linear algebra over truncated power series.
+over power series in t.  The paper brings in such pairs to state its
+valuative criterion for the weak subintegral closure I*, through one pair
+per ideal; that pair is the case implemented here.  The general test,
+elimination over truncated series, is kept in tests/oracles.py as the
+independent check of the path below.
 
-For the distinguished pair attached to an ideal I - the diagonal module
-{(g, g)} inside the slotwise sum {(g, 0), (0, g)} - the t * N block is the
-full product z^(e+1) x z^(f+1), where e and f are the pullback orders of I
-along the two arcs.  Working in series mod t^(e+1) times series mod t^(f+1)
+The pair of an ideal I is its diagonal module {(g, g)} inside the slotwise
+sum {(g, 0), (0, g)}, tested at (h, h).  Its t * N block is the full
+product z^(e+1) x z^(f+1), where e and f are the pullback orders of I along
+the two arcs.  Working in series mod t^(e+1) times series mod t^(f+1)
 therefore decides membership exactly; a failing arc pair is a certificate
 that h is not weakly subintegral over I.  The sampling refuter can only
 refute, never certify: a clean run over the whole budget is inconclusive.
@@ -47,9 +52,7 @@ from functools import lru_cache
 
 from .errors import DimensionMismatch, UnsupportedIdeal
 from .ideals import MonomialIdeal
-from .linalg import Echelon, Row
 from .poly import Exponent, SparsePoly
-from .reductions import PolyIdeal
 
 
 class LocalArc:
@@ -137,23 +140,6 @@ class ArcPair(namedtuple("ArcPair", "first second")):
         return {"first": self.first.to_strings(), "second": self.second.to_strings()}
 
 
-class SubmodulePair(namedtuple("SubmodulePair", "rank inner outer")):
-    """Inner and outer generating tuples of rank-r submodules M inside N."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        rank: int,
-        inner: tuple[tuple[SparsePoly, ...], ...],
-        outer: tuple[tuple[SparsePoly, ...], ...],
-    ):
-        for tup in inner + outer:
-            if len(tup) != rank:
-                raise ValueError("generator tuple has the wrong rank")
-        return super().__new__(cls, rank, inner, outer)
-
-
 def _truncated_product(
     a: dict, b: Iterable[tuple[int, Fraction]], order: int | float
 ) -> dict:
@@ -209,6 +195,8 @@ def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:
     """t-order of the pullback; math.inf when the pullback vanishes.  A
     monomial's order is read off the component orders; the terms of any
     other f may cancel, so its exact pullback is taken."""
+    if f.nvars != arc.nvars:
+        raise DimensionMismatch("polynomial and arc variable counts differ")
     if f.is_monomial():
         (exp, _), = f.items()
         return _monomial_order(exp, arc.orders)
@@ -216,80 +204,7 @@ def pullback_order(f: SparsePoly, arc: LocalArc) -> int | float:
     return math.inf if composed.is_zero else composed.min_degree()
 
 
-def _series_row(
-    tup: Sequence[SparsePoly], orders: Sequence[int], k: int = 0
-) -> Row:
-    """Echelon row of t^k * tup: slot s holds its pulled-back series mod
-    t^orders[s], keyed (s, degree)."""
-    row: Row = {}
-    for s, (p, order) in enumerate(zip(tup, orders)):
-        for (d,), c in p.items():
-            if d + k < order:
-                row[(s, d + k)] = c
-    return row
-
-
-def delta_pair_of_ideal(I: MonomialIdeal | PolyIdeal) -> SubmodulePair:
-    """The diagonal module {(g, g)} inside the slotwise sum {(g,0), (0,g)}."""
-    if isinstance(I, MonomialIdeal):
-        gens = I.generator_polys()
-        nvars = I.nvars
-    else:
-        gens = list(I.gens)
-        nvars = I.nvars
-    zero = SparsePoly.zero(nvars)
-    inner = tuple((g, g) for g in gens)
-    outer = tuple((g, zero) for g in gens) + tuple((zero, g) for g in gens)
-    return SubmodulePair(rank=2, inner=inner, outer=outer)
-
-
-# -- the general truncated test ---------------------------------------------------
-
-
-def relative_membership(
-    h_tuple: Sequence[SparsePoly],
-    pair: SubmodulePair,
-    arcs: ArcPair | Sequence[LocalArc],
-) -> bool:
-    """Decide pulled-back membership in M + t*N over truncated series.
-
-    Slot s of every tuple is pulled back along arc s, and the series are
-    truncated strictly above every pullback degree.  A False verdict is
-    sound; for the ideal pair from delta_pair_of_ideal a True verdict is
-    exact as well.
-    """
-    arc_list = list(arcs)
-    if len(arc_list) != pair.rank or len(h_tuple) != pair.rank:
-        raise DimensionMismatch("rank, arcs, and target tuple must all agree")
-
-    def pull(tup: Sequence[SparsePoly]) -> tuple[SparsePoly, ...]:
-        return tuple(pullback(tup[s], arc_list[s]) for s in range(pair.rank))
-
-    pulled_inner = [pull(t) for t in pair.inner]
-    pulled_outer = [pull(t) for t in pair.outer]
-    target = pull(h_tuple)
-
-    degree = 1
-    for tup in pulled_inner + pulled_outer + [target]:
-        for p in tup:
-            degree = max(degree, p.total_degree() + 1)
-    trunc = degree + 1
-
-    orders = (trunc,) * pair.rank
-    ech = Echelon()
-    for tups, shifts in (
-        (pulled_inner, range(trunc)),
-        (pulled_outer, range(1, trunc + 1)),
-    ):
-        for tup in tups:
-            for k in shifts:
-                row = _series_row(tup, orders, k)
-                if row:
-                    ech.add_row(row)
-    return ech.contains(_series_row(target, orders))
-
-
-# -- exact fast path for the ideal pair -------------------------------------------
+# -- the ideal pair ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=65536)
@@ -386,12 +301,14 @@ def _pair_holds(
 
 def ideal_pair_membership(h: SparsePoly, I: MonomialIdeal, arcs: ArcPair) -> bool:
     """Exact relative-closure membership of (h, h) for the pair of I along
-    one arc pair.  Equivalent to relative_membership on the ideal pair, but
-    decided in the minimal exact quotient, a line or the plane in Q^2 (see
-    the module docstring), from the module cached per (I, arc pair)."""
+    one arc pair, decided in the minimal exact quotient, a line or the plane
+    in Q^2 (see the module docstring), from the module cached per (I, arc
+    pair).  h and I must live over the arcs' ring; that is checked before
+    the module is looked up, so no module of a mismatched pair is cached."""
+    nvars = arcs.first.nvars
+    if h.nvars != nvars or I.nvars != nvars:
+        raise DimensionMismatch("polynomial, ideal and arc variable counts differ")
     e, f, slope = _ideal_arc_module(I, arcs)
-    if h.nvars != arcs.first.nvars:
-        raise DimensionMismatch("polynomial and arc variable counts differ")
     exps = tuple(exp for exp, _ in h.items())
     return _pair_holds(h, exps, {}, arcs, e, f, slope)
 
@@ -552,39 +469,3 @@ def refute_star_membership(
         if not _pair_holds(h, exps, above, arcs, e, f, slope):
             return Refutation(pair=arcs, index=index)
     return None
-
-
-class ProbeOutcome(namedtuple("ProbeOutcome", "index refutation")):
-    """The first refutation of probe number `index`, or None."""
-
-    __slots__ = ()
-
-    @property
-    def passes(self) -> bool:
-        return self.refutation is None
-
-
-def basic_facts_check(
-    pair: SubmodulePair,
-    probes: Sequence[Sequence[SparsePoly]],
-    arc_pairs: Sequence[ArcPair] | None = None,
-) -> list[ProbeOutcome]:
-    """Run each probe tuple through a battery of arc pairs and record the
-    first refuting pair, if any."""
-    if arc_pairs is None:
-        nvars = next(
-            (p.nvars for tup in pair.inner + pair.outer for p in tup),
-            probes[0][0].nvars if probes else 1,
-        )
-        battery = list(_shared_stream(nvars, ArcSampler(seed=0, count=40)))
-    else:
-        battery = list(arc_pairs)
-    outcomes: list[ProbeOutcome] = []
-    for idx, probe in enumerate(probes):
-        refutation = None
-        for j, arcs in enumerate(battery):
-            if not relative_membership(tuple(probe), pair, arcs):
-                refutation = Refutation(pair=arcs, index=j)
-                break
-        outcomes.append(ProbeOutcome(index=idx, refutation=refutation))
-    return outcomes

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -184,15 +183,3 @@ def rees_valuations(ideal: MonomialIdeal) -> list[ReesValuation]:
     ]
     vals.sort(key=lambda v: v.weight)
     return vals
-
-
-def np_membership(point: Sequence, np: NewtonPolyhedron) -> bool:
-    """Exact test that a rational point lies in the polyhedron."""
-    if len(point) != np.nvars:
-        raise ValueError("point has wrong length")
-    q = [Fraction(v) for v in point]
-    if any(v < 0 for v in q):
-        return False
-    return all(
-        sum(Fraction(w) * v for w, v in zip(f.normal, q)) >= f.value for f in np.facets
-    )

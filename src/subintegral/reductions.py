@@ -396,19 +396,3 @@ def intersect_star_two(
         star1.quotient.echelon.rows(), star2.quotient.echelon.rows()
     )
     return TruncatedQuotient(I.nvars, star1.order, rows=rows)
-
-
-def reduction_from_igt(J: MonomialIdeal, I: MonomialIdeal) -> bool:
-    """Reduction test through the augmented ideal J + (i_greater(I) ^ I).
-
-    Adding the part of i_greater(I) inside I never changes whether J is a
-    reduction, so both routes are computed and compared.
-    """
-    if not I.contains_ideal(J):
-        raise PreconditionError("J must be contained in I")
-    augmented = J + i_greater(I).intersect(I)
-    via_augmented = is_reduction_monomial(augmented, I)
-    plain = is_reduction_monomial(J, I)
-    if via_augmented != plain:
-        raise AssertionError("augmented and plain reduction tests disagree")
-    return plain

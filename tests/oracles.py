@@ -12,7 +12,10 @@ branch-and-bound; and the multiplicity by the Hilbert-Samuel difference of
 colengths instead of triangulating the bounded facets.  Membership in an
 ideal power is read off the multiplied-out power, and I_> certificates are
 rebuilt by the SparsePoly recursion over products of a_j and powers of a,
-with the window searched by testing every window in full.  Parsed polynomials
+with the window searched by testing every window in full.  Relative-closure
+membership of an ideal's pair along an arc pair is decided by elimination
+over series truncated above every exact pullback instead of the
+line-or-plane test on t-orders and leading coefficients.  Parsed polynomials
 are rebuilt by multiplying out every factor and adding up the terms with
 SparsePoly arithmetic, and monomials are printed through a one-term
 SparsePoly, as the parser and the renderer once did.
@@ -27,6 +30,8 @@ from math import comb, gcd
 from subintegral import MonomialIdeal, RRSSystem, integral_closure, rees_valuations
 from subintegral.errors import BudgetExceeded
 from subintegral.ideals import max_power_membership
+from subintegral.arcs import pullback
+from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
 
@@ -292,6 +297,58 @@ def least_window_by_branch_and_bound(a: SparsePoly, ideal: MonomialIdeal, q_max:
         None,
     )
 
+
+
+def diagonal_pair(ideal: MonomialIdeal):
+    """The pair (M, N) of an ideal as generator tuples: the diagonal module
+    {(g, g)} inside the slotwise sum {(g, 0), (0, g)}."""
+    gens = ideal.generator_polys()
+    zero = SparsePoly.zero(ideal.nvars)
+    inner = tuple((g, g) for g in gens)
+    outer = tuple((g, zero) for g in gens) + tuple((zero, g) for g in gens)
+    return inner, outer
+
+
+def ideal_pair_by_elimination(h: SparsePoly, ideal: MonomialIdeal, arcs) -> bool:
+    """Membership of (h, h) in M + t*N for the pair (M, N) of the ideal
+    along one arc pair, by elimination.  Slot s of every tuple is pulled
+    back exactly along arc s, once per polynomial and slot; the series are
+    truncated strictly above every pulled-back degree, and the rows of
+    t^k * N (k >= 1, highest shift first, which keeps the basis sparse) and
+    of M go into one Echelon basis.  The rows t^k * M with k >= 1 are left out: t^k (g, g) is
+    the sum of the rows t^k (g, 0) and t^k (0, g).  The truncation keeps a
+    False verdict sound and, for this pair, a True verdict exact."""
+    pulled = {}
+
+    def pull(tup):
+        for key in enumerate(tup):
+            if key not in pulled:
+                s, p = key
+                pulled[key] = pullback(p, arcs[s])
+        return tuple(pulled[key] for key in enumerate(tup))
+
+    inner, outer = diagonal_pair(ideal)
+    pulled_inner = [pull(t) for t in inner]
+    pulled_outer = [pull(t) for t in outer]
+    target = pull((h, h))
+    degree = max(
+        [1] + [p.total_degree() + 1 for tup in pulled_inner + pulled_outer + [target] for p in tup]
+    )
+    trunc = degree + 1
+
+    def row(tup, k):
+        return {
+            (s, d + k): c for s, p in enumerate(tup) for (d,), c in p.items() if d + k < trunc
+        }
+
+    ech = Echelon()
+    for tups, shifts in ((pulled_outer, range(trunc, 0, -1)), (pulled_inner, [0])):
+        for tup in tups:
+            for k in shifts:
+                r = row(tup, k)
+                if r:
+                    ech.add_row(r)
+    return ech.contains(row(target, 0))
 
 def random_monomial_ideal(
     rng: random.Random, nvars: int, max_exp: int = 4, extra: int = 2,

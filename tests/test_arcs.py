@@ -1,10 +1,12 @@
 """Arc pullbacks, relative-closure membership, and the sampling refuter."""
 
+import ast
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -17,25 +19,27 @@ from subintegral import (
     DimensionMismatch,
     LocalArc,
     MonomialIdeal,
-    SubmodulePair,
     arc_pair_stream,
-    basic_facts_check,
     bounded_search,
-    delta_pair_of_ideal,
     i_greater,
     ideal_pair_membership,
     in_integral_closure,
     pullback,
     pullback_order,
     refute_star_membership,
-    relative_membership,
 )
 from subintegral import arcs as arcs_module
 from subintegral.arcs import _ideal_arc_module, _module_table, _shared_stream
 from subintegral.linalg import Echelon
 from subintegral.poly import SparsePoly
 
-from oracles import random_igt_element, random_monomial, random_monomial_ideal
+from oracles import (
+    diagonal_pair,
+    ideal_pair_by_elimination,
+    random_igt_element,
+    random_monomial,
+    random_monomial_ideal,
+)
 
 
 def ideal(*exps):
@@ -77,41 +81,38 @@ class TestPullback:
 
 
 class TestDeltaPair:
+    # The oracle's pair of an ideal: {(g, g)} inside {(g, 0), (0, g)}.
     def test_two_generators(self):
-        pair = delta_pair_of_ideal(CORNER)
-        assert len(pair.inner) == 2 and len(pair.outer) == 4
+        inner, outer = diagonal_pair(CORNER)
+        assert len(inner) == 2 and len(outer) == 4
+        assert inner == tuple((g, g) for g in CORNER.generator_polys())
 
     def test_three_generators(self):
-        pair = delta_pair_of_ideal(ideal((2, 0), (1, 1), (0, 2)))
-        assert len(pair.inner) == 3 and len(pair.outer) == 6
+        inner, outer = diagonal_pair(ideal((2, 0), (1, 1), (0, 2)))
+        assert len(inner) == 3 and len(outer) == 6
 
     def test_zero_ideal(self):
-        pair = delta_pair_of_ideal(MonomialIdeal.zero(2))
-        assert pair.inner == () and pair.outer == ()
+        assert diagonal_pair(MonomialIdeal.zero(2)) == ((), ())
 
 
 class TestRelativeMembership:
     def test_hand_checked_refutation(self):
-        pair = delta_pair_of_ideal(CORNER)
         h = mono(1, 1)
         arcs = ArcPair(T_T, T_MINUS_T)
-        assert not relative_membership((h, h), pair, arcs)
+        assert not ideal_pair_by_elimination(h, CORNER, arcs)
         assert not ideal_pair_membership(h, CORNER, arcs)
 
     def test_ideal_elements_always_pass(self):
-        rng = random.Random(7)
-        pair = delta_pair_of_ideal(CORNER)
         h = mono(2, 0) + 3 * mono(1, 2)
         for arcs in arc_pair_stream(2, ArcSampler(seed=1, count=25)):
-            assert relative_membership((h, h), pair, arcs)
+            assert ideal_pair_by_elimination(h, CORNER, arcs)
             assert ideal_pair_membership(h, CORNER, arcs)
 
     def test_interior_monomial_of_parameter_ideal(self):
         J = ideal((2, 0), (0, 3))
-        pair = delta_pair_of_ideal(J)
         h = mono(1, 2)
         arcs = ArcPair(T_T, arc({1: 2}, {1: 3}))
-        assert relative_membership((h, h), pair, arcs)
+        assert ideal_pair_by_elimination(h, J, arcs)
         assert ideal_pair_membership(h, J, arcs)
 
     def test_fast_path_matches_general_path(self):
@@ -120,9 +121,8 @@ class TestRelativeMembership:
             n = rng.choice([2, 3])
             I = random_monomial_ideal(rng, n, max_exp=3)
             h = random_monomial(rng, n, max_exp=5)
-            pair = delta_pair_of_ideal(I)
             for arcs in list(arc_pair_stream(n, ArcSampler(seed=3, count=8))):
-                assert relative_membership((h, h), pair, arcs) == ideal_pair_membership(
+                assert ideal_pair_by_elimination(h, I, arcs) == ideal_pair_membership(
                     h, I, arcs
                 )
 
@@ -163,7 +163,7 @@ class TestDeadSlot:
     def test_matches_general_path(self, h, expected, second):
         arcs = ArcPair(self.FIRST, second)
         assert ideal_pair_membership(h, self.I, arcs) == expected
-        assert relative_membership((h, h), delta_pair_of_ideal(self.I), arcs) == expected
+        assert ideal_pair_by_elimination(h, self.I, arcs) == expected
 
 
 class TestRingCheck:
@@ -173,6 +173,27 @@ class TestRingCheck:
     def test_three_variable_element_on_two_variable_ideal(self):
         with pytest.raises(DimensionMismatch):
             ideal_pair_membership(mono(5, 5, 5), CORNER, ArcPair(T_T, T_MINUS_T))
+
+    def test_ideal_over_another_ring_than_the_arcs(self):
+        # x*y and the arcs over three variables, I = (x^2, y^2) over two:
+        # every pair raises, and no module of a mismatched pair is cached.
+        pairs = list(arc_pair_stream(3, ArcSampler(seed=0, count=60)))
+        _ideal_arc_module.cache_clear()
+        for arcs in pairs:
+            with pytest.raises(DimensionMismatch):
+                ideal_pair_membership(mono(1, 1, 0), CORNER, arcs)
+        assert _ideal_arc_module.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "f",
+        [mono(1, 1, 5), mono(1, 1, 5) + mono(0, 0, 1), mono(1)],
+        ids=["monomial", "binomial", "fewer"],
+    )
+    def test_pullback_order_checks_the_ring(self, f):
+        # A monomial's order is read off the component orders, which must
+        # not be zipped to the shorter of the two rings.
+        with pytest.raises(DimensionMismatch):
+            pullback_order(f, T_T)
 
 
 class TestRefuterRingCheck:
@@ -233,9 +254,8 @@ class TestArcModule:
         ],
     )
     def test_hand_built_pairs_match_general_path(self, I, arcs):
-        pair = delta_pair_of_ideal(I)
         for h in (mono(1, 1), mono(2, 0) - mono(0, 2), mono(1, 1) + mono(0, 2), mono(1, 2)):
-            assert ideal_pair_membership(h, I, arcs) == relative_membership((h, h), pair, arcs)
+            assert ideal_pair_membership(h, I, arcs) == ideal_pair_by_elimination(h, I, arcs)
 
     @pytest.mark.parametrize(
         "arcs, orders",
@@ -249,9 +269,7 @@ class TestArcModule:
         I = ideal((2, 0), (1, 1))
         assert _ideal_arc_module(I, arcs) == (*orders, None)
         for h in (mono(2, 0), mono(1, 1) + mono(3, 0), mono(0, 3), mono(1, 0)):
-            assert ideal_pair_membership(h, I, arcs) == relative_membership(
-                (h, h), delta_pair_of_ideal(I), arcs
-            )
+            assert ideal_pair_membership(h, I, arcs) == ideal_pair_by_elimination(h, I, arcs)
 
 
 class TestArcData:
@@ -421,8 +439,8 @@ class TestRefuterWork:
         info = _ideal_arc_module.cache_info()
         assert (info.misses, info.hits) == (98, 2)
         assert calls == {"add_row": 0, "contains": 0}
-        # The general path still eliminates, so the counters do count.
-        relative_membership((mono(1, 1),) * 2, delta_pair_of_ideal(WEIGHTED), refutation.pair)
+        # The elimination oracle does eliminate, so the counters do count.
+        ideal_pair_by_elimination(mono(1, 1), WEIGHTED, refutation.pair)
         assert calls["add_row"] > 0 and calls["contains"] == 1
 
     def test_warm_query_looks_up_one_table(self, monkeypatch):
@@ -490,30 +508,51 @@ class TestSigma1:
 
 
 class TestBasicFacts:
+    # Basic facts of the relative closure, for the pair of an ideal, along
+    # the first 40 pairs of the seed-0 stream: the inner module passes every
+    # pair and a unit fails at the first one, in the library and in the
+    # elimination oracle alike.
+    BATTERY = list(arc_pair_stream(2, ArcSampler(seed=0, count=40)))
+
     def test_inner_span_passes_everywhere(self):
-        pair = delta_pair_of_ideal(CORNER)
-        probe = tuple(
-            a + b for a, b in zip(pair.inner[0], pair.inner[1])
-        )
-        outcomes = basic_facts_check(pair, [probe])
-        assert outcomes[0].passes
+        h = sum(CORNER.generator_polys(), SparsePoly.zero(2))
+        for arcs in self.BATTERY:
+            assert ideal_pair_membership(h, CORNER, arcs)
+            assert ideal_pair_by_elimination(h, CORNER, arcs)
 
     def test_unit_component_refuted_by_first_arc(self):
-        # N the full free module, M inside m*F: a probe with a unit entry
-        # cannot be in the relative closure.
         one = SparsePoly.constant(2, 1)
-        zero = SparsePoly.zero(2)
-        pair = SubmodulePair(
-            rank=2,
-            inner=tuple((g, g) for g in CORNER.generator_polys()),
-            outer=((one, zero), (zero, one)),
-        )
-        outcomes = basic_facts_check(pair, [(one, zero)])
-        assert not outcomes[0].passes
-        assert outcomes[0].refutation.index == 0
+        assert not ideal_pair_membership(one, CORNER, self.BATTERY[0])
+        assert not ideal_pair_by_elimination(one, CORNER, self.BATTERY[0])
+        refutation = refute_star_membership(one, CORNER, ArcSampler(seed=0, count=40))
+        assert refutation.index == 0
 
     def test_diagonal_of_ideal_element_passes(self):
-        pair = delta_pair_of_ideal(CORNER)
         h = mono(0, 2)
-        outcomes = basic_facts_check(pair, [(h, h)])
-        assert outcomes[0].passes
+        for arcs in self.BATTERY:
+            assert ideal_pair_membership(h, CORNER, arcs)
+            assert ideal_pair_by_elimination(h, CORNER, arcs)
+        assert refute_star_membership(h, CORNER, ArcSampler(seed=0, count=40)) is None
+
+
+class TestLayering:
+    # The arc layer stands on the ideals and polynomials alone: no linear
+    # algebra and no reductions.
+    def test_arcs_imports_only_errors_ideals_and_poly(self):
+        tree = ast.parse(Path(arcs_module.__file__).read_text())
+        package = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 0 and (node.module or "").split(".")[0] != "subintegral":
+                    continue
+                module = (node.module or "").removeprefix("subintegral").lstrip(".")
+                if module:
+                    package.add(module.split(".")[0])
+                else:
+                    package.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == "subintegral":
+                        package.add(parts[1] if len(parts) > 1 else "subintegral")
+        assert package and package <= {"errors", "ideals", "poly"}

@@ -1,12 +1,12 @@
 """Property tests: the truncated pullback agrees with SparsePoly.compose
 cut at the same order, and the cached fast path for the ideal pair agrees
-with the general truncated test on delta_pair_of_ideal, for multi-term
+with the elimination oracle ideal_pair_by_elimination, for multi-term
 elements whose terms cancel along the arcs and for arbitrary arc pairs,
 whose modules take every shape: a line, the plane, a dead slot.  Elements
 with terms at, just above and below the module's orders check the pairs
 that the fast path decides on the arcs' component orders alone.  The
 refuter, which walks a cached module table per ideal, agrees with the
-per-pair test over the whole stream, cold, warm and after its caches are
+per-pair tests over the whole stream, cold, warm and after its caches are
 emptied."""
 
 import math
@@ -23,15 +23,15 @@ from subintegral import (
     LocalArc,
     MonomialIdeal,
     arc_pair_stream,
-    delta_pair_of_ideal,
     ideal_pair_membership,
     pullback,
     pullback_order,
     refute_star_membership,
-    relative_membership,
 )
 from subintegral.arcs import Refutation, _ideal_arc_module, _module_table, _shared_stream
 from subintegral.poly import SparsePoly
+
+from oracles import ideal_pair_by_elimination
 
 COEFFS = [1, -1, 2, -2, Fraction(1, 2), 3]
 
@@ -113,9 +113,7 @@ def test_fast_path_matches_general_path():
     @hypothesis.given(cases())
     def check(case):
         h, I, arcs = case
-        assert ideal_pair_membership(h, I, arcs) == relative_membership(
-            (h, h), delta_pair_of_ideal(I), arcs
-        )
+        assert ideal_pair_membership(h, I, arcs) == ideal_pair_by_elimination(h, I, arcs)
         e, f, slope = _ideal_arc_module(I, arcs)
         kinds.add("dead" if math.inf in (e, f) else "plane" if slope is None else "line")
 
@@ -168,7 +166,7 @@ def test_order_shortcut_matches_general_path():
     def check(case):
         h, I, arcs = case
         verdict = ideal_pair_membership(h, I, arcs)
-        assert verdict == relative_membership((h, h), delta_pair_of_ideal(I), arcs)
+        assert verdict == ideal_pair_by_elimination(h, I, arcs)
         e, f, _ = _ideal_arc_module(I, arcs)
         terms = [SparsePoly.monomial(exp, c) for exp, c in h.items()]
         for arc, order in zip(arcs, (e, f)):
@@ -201,10 +199,11 @@ def test_order_shortcut_matches_general_path():
     }
 
 
-def first_failure(h, I, sampler):
-    """The refuter's answer, pair by pair through ideal_pair_membership."""
+def first_failure(h, I, sampler, holds=ideal_pair_by_elimination):
+    """The refuter's answer, pair by pair through one per-pair test: the
+    elimination oracle unless another is given."""
     for index, arcs in enumerate(arc_pair_stream(I.nvars, sampler)):
-        if not ideal_pair_membership(h, I, arcs):
+        if not holds(h, I, arcs):
             return Refutation(pair=arcs, index=index)
     return None
 
@@ -264,7 +263,10 @@ def clear_caches():
 def test_refuter_matches_per_pair_oracle():
     # Each case runs cold, warm, after an early refutation on the same
     # table, on a fresh equal ideal after each cache is emptied, and for the
-    # monomials between two generators on the warm table.  The draws must
+    # monomials between two generators on the warm table.  The walks of h
+    # and of the early element are decided by the elimination oracle; the
+    # many monomials between generators by ideal_pair_membership, which the
+    # tests above check against that oracle.  The draws must
     # reach refutations at dead-slot pairs and at pairs with a finite
     # module, among them a pair whose first slot h vanishes in while the
     # second has unequal component orders; inconclusive walks; an early
@@ -310,7 +312,7 @@ def test_refuter_matches_per_pair_oracle():
         for exp in between(I):
             m = SparsePoly.monomial(exp)
             refutation = refute_star_membership(m, I, sampler)
-            assert refutation == first_failure(m, I, sampler)
+            assert refutation == first_failure(m, I, sampler, ideal_pair_membership)
             note(m, I, refutation)
         note(h, I, expected)
         if h.is_zero:

@@ -7,14 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from subintegral.arcs import (
-    ArcPair,
-    ArcSampler,
-    LocalArc,
-    ProbeOutcome,
-    Refutation,
-    SubmodulePair,
-)
+from subintegral.arcs import ArcPair, ArcSampler, LocalArc, Refutation
 from subintegral.cli import Options
 from subintegral.cover import MonicHypersurface, from_rrs
 from subintegral.errors import DimensionMismatch
@@ -52,16 +45,11 @@ RECORDS = {
     "RRSSystem": (("q", "coeffs"), lambda: RRSSystem(SYSTEM.q, SYSTEM.coeffs)),
     "LocalArc": (("components",), lambda: t_arc(1, -1)),
     "ArcPair": (("first", "second"), lambda: ArcPair(t_arc(1, 1), t_arc(1, -1))),
-    "SubmodulePair": (
-        ("rank", "inner", "outer"),
-        lambda: SubmodulePair(1, ((mono(1, 0),),), ((mono(0, 1),),)),
-    ),
     "ArcSampler": (
         ("seed", "count"),
         lambda: ArcSampler(seed=4, count=60),
     ),
     "Refutation": (("pair", "index"), lambda: Refutation(PAIR, 5)),
-    "ProbeOutcome": (("index", "refutation"), lambda: ProbeOutcome(0, Refutation(PAIR, 5))),
     "MonicHypersurface": (("space_vars", "poly", "degree"), lambda: from_rrs(SYSTEM)),
     "PolyIdeal": (("nvars", "gens"), lambda: PolyIdeal(2, (mono(2, 0) + mono(1, 1),))),
     "StarOfReduction": (
@@ -131,8 +119,6 @@ def test_local_arc_reads_its_cached_data():
 def test_validation_still_raises():
     with pytest.raises(ValueError):
         RRSSystem(1, SYSTEM.coeffs[:1])
-    with pytest.raises(ValueError):
-        SubmodulePair(2, ((mono(1, 0),),), ())
     with pytest.raises(ValueError):
         LocalArc((SparsePoly(1, {(0,): 1, (1,): 1}),))
     with pytest.raises(ValueError):

@@ -21,7 +21,6 @@ from subintegral import (
     is_reduction_monomial,
     is_reduction_parameter,
     multiplicity,
-    reduction_from_igt,
     star_of_min_reduction,
 )
 from subintegral import newton
@@ -289,14 +288,23 @@ class TestIntersectStars:
 
 
 class TestReductionFromIGT:
+    # Adding the part of i_greater(I) inside I never changes whether J is a
+    # reduction of I.
+    PART = i_greater(WEIGHTED).intersect(WEIGHTED)
+
     def test_parameter_subideal(self):
-        assert reduction_from_igt(ideal((2, 0), (0, 3)), WEIGHTED)
+        J = ideal((2, 0), (0, 3))
+        assert is_reduction_monomial(J, WEIGHTED)
+        assert is_reduction_monomial(J + self.PART, WEIGHTED)
 
     def test_single_generator_fails(self):
-        assert not reduction_from_igt(ideal((2, 0),), WEIGHTED)
+        J = ideal((2, 0),)
+        assert not is_reduction_monomial(J, WEIGHTED)
+        assert not is_reduction_monomial(J + self.PART, WEIGHTED)
 
     def test_whole_ideal(self):
-        assert reduction_from_igt(WEIGHTED, WEIGHTED)
+        assert is_reduction_monomial(WEIGHTED, WEIGHTED)
+        assert is_reduction_monomial(WEIGHTED + self.PART, WEIGHTED)
 
     def test_agreement_on_random_subideals(self):
         rng = random.Random(73)
@@ -305,5 +313,6 @@ class TestReductionFromIGT:
             I = random_monomial_ideal(rng, n, max_exp=3)
             subset = [g for g in I.gens if rng.random() < 0.7]
             J = MonomialIdeal(n, subset)
-            # reduction_from_igt asserts internally that both routes agree.
-            reduction_from_igt(J, I)
+            assert is_reduction_monomial(
+                J + i_greater(I).intersect(I), I
+            ) == is_reduction_monomial(J, I)
