@@ -42,11 +42,10 @@ from .errors import (
     DimensionMismatch,
     ParseError,
     PreconditionError,
-    TruncationTooSmall,
     UnsupportedIdeal,
 )
 from .examples import ExamplesReport, run_worked_examples
-from .ideals import MonomialIdeal, ord_in
+from .ideals import MonomialIdeal, PolyIdeal, ord_in
 from .newton import (
     Facet,
     NewtonPolyhedron,
@@ -57,7 +56,6 @@ from .newton import (
 from .parser import Request, parse, parse_ideal_text, parse_poly_text
 from .poly import SparsePoly
 from .reductions import (
-    PolyIdeal,
     ReductionsClass,
     StarOfReduction,
     TruncatedQuotient,

@@ -274,7 +274,13 @@ def _pair_holds(
     is taken.  The order of I along an arc, and so this test, depends on the
     arc only through its component orders, which few arcs of a stream
     differ in; `above` keeps the verdict per component-order tuple, for one
-    h and one I."""
+    h and one I.
+
+    A dead slot (e or f is math.inf) needs no branch of its own: its module
+    has slope None, its pullback at order math.inf + 1 is exact, and a
+    nonzero one has a finite min_degree, never -1 or math.inf.  So the test
+    below passes exactly when h pulls back to 0 along the dead arc and to
+    order >= f (resp. e) along the live one."""
     first, second = arcs.first.orders, arcs.second.orders
     vanishes = above.get(first)
     if vanishes is None:
@@ -285,12 +291,6 @@ def _pair_holds(
             vanishes = above[second] = _vanishes_above(exps, second, f)
         if vanishes:
             return True
-    if math.inf in (e, f):
-        # A dead slot leaves no room at all: the target must vanish there,
-        # and the live slot reduces to the valuative ideal-membership test.
-        return (
-            pullback(h, arcs.first, e).is_zero and pullback(h, arcs.second, f).is_zero
-        )
     # Each pullback keeps the degrees up to e (resp. f); one below is outside.
     v1 = pullback(h, arcs.first, e + 1)
     v2 = pullback(h, arcs.second, f + 1)

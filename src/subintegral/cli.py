@@ -39,8 +39,8 @@ from .rrs import bounded_search, construct_from_igt, derivative_chain_check, ver
 SCHEMA = 1
 
 
-class Options(namedtuple("Options", "seed budget trunc", defaults=(0, None, None))):
-    """The --seed, --budget and --trunc flags of one CLI call."""
+class Options(namedtuple("Options", "seed budget", defaults=(0, None))):
+    """The --seed and --budget flags of one CLI call."""
 
     __slots__ = ()
 
@@ -146,7 +146,7 @@ def run(req: Request, options: Options | None = None) -> dict:
         }
     elif cmd == "star-min-red":
         J, I = req.ideals
-        star = star_of_min_reduction(J, I, order=options.trunc)
+        star = star_of_min_reduction(J, I)
         result = {
             "truncation_order": star.order,
             "i_greater": _ideal_json(star.igt, names),
@@ -163,17 +163,7 @@ def run(req: Request, options: Options | None = None) -> dict:
     elif cmd == "zz-check":
         _run_zz_check(req, options, report, names)
     elif cmd == "relclose":
-        h, I = req.polys[0], req.ideals[0]
-        sampler = ArcSampler(seed=options.seed, count=options.budget or 200)
-        refutation = refute_star_membership(h, I, sampler)
-        if refutation is None:
-            report["result"] = {"witness": None}
-            report["inconclusive"] = True
-            report["budget_used"] = sampler.count
-        else:
-            report["result"] = {"witness": refutation.pair.to_json()}
-            report["witnesses"] = [refutation.pair.to_json()]
-            report["budget_used"] = refutation.index + 1
+        report["result"] = {"witness": _refute(req, options, report)}
     elif cmd == "classify":
         _run_classify(req, options, report, names)
     elif cmd == "examples":
@@ -244,7 +234,6 @@ def _run_classify(req: Request, options: Options, report: dict, names) -> None:
     # search keeps its small fixed ansatz depth (large q blows up the
     # coefficient space combinatorially and is never what a budget means).
     h, I = req.polys[0], req.ideals[0]
-    budget = options.budget
     if I.contains(h):
         report["result"] = {"verdict": "InIdeal"}
         return
@@ -261,16 +250,24 @@ def _run_classify(req: Request, options: Options, report: dict, names) -> None:
         report["certificates"] = [_system_json(system, names)]
         report["result"] = {"verdict": "CertifiedInStar", "q": system.q}
         return
-    sampler = ArcSampler(seed=options.seed, count=budget or 200)
-    refutation = refute_star_membership(h, I, sampler)
-    if refutation is not None:
-        report["result"] = {"verdict": "NotInStar"}
-        report["witnesses"] = [refutation.pair.to_json()]
-        report["budget_used"] = refutation.index + 1
-        return
-    report["result"] = {"verdict": "Unknown"}
-    report["inconclusive"] = True
-    report["budget_used"] = sampler.count
+    witness = _refute(req, options, report)
+    report["result"] = {"verdict": "Unknown" if witness is None else "NotInStar"}
+
+
+def _refute(req: Request, options: Options, report: dict) -> dict | None:
+    """Run the arc refuter on h in I over --budget pairs (200 by default).
+    Record the refuting pair and the pairs used, or mark the report
+    inconclusive; return the pair as JSON, or None."""
+    sampler = ArcSampler(seed=options.seed, count=options.budget or 200)
+    refutation = refute_star_membership(req.polys[0], req.ideals[0], sampler)
+    if refutation is None:
+        report["inconclusive"] = True
+        report["budget_used"] = sampler.count
+        return None
+    witness = refutation.pair.to_json()
+    report["witnesses"] = [witness]
+    report["budget_used"] = refutation.index + 1
+    return witness
 
 
 # -- rendering ---------------------------------------------------------------------
@@ -326,7 +323,6 @@ def _argument_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit JSON reports")
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     parser.add_argument("--budget", type=_budget, help="search/sampling budget (>= 1)")
-    parser.add_argument("--trunc", type=int, help="truncation-order override")
     return parser
 
 
@@ -345,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error[io]: {exc}", file=sys.stderr)
             return 1
 
-    options = Options(seed=args.seed, budget=args.budget, trunc=args.trunc)
+    options = Options(seed=args.seed, budget=args.budget)
     try:
         requests = parse(text)
     except ParseError as exc:

@@ -66,18 +66,15 @@ def from_rrs(system: RRSSystem) -> MonicHypersurface:
 
     In a polynomial ring the coefficients are their own lifts.
     """
-    coeffs = system.coeffs
-    n_space = coeffs[0].nvars if coeffs else 1
+    n_space = system.coeffs[0].nvars
     deg = 2 * system.q + 1
-    total = SparsePoly.zero(n_space + 1)
-    t_exp = lambda k: (0,) * n_space + (k,)
-    total = total + SparsePoly.monomial(t_exp(deg))
-    for i, f in enumerate(coeffs, start=1):
-        lifted = SparsePoly(
-            n_space + 1, {e + (deg - i,): c for e, c in f.items()}
-        )
-        total = total + comb(deg, i) * lifted
-    return MonicHypersurface(space_vars=n_space, poly=total, degree=deg)
+    # Each a_i lands in its own T-degree 2q + 1 - i, so no two terms meet.
+    terms = {(0,) * n_space + (deg,): Fraction(1)}
+    for i, f in enumerate(system.coeffs, start=1):
+        scale = comb(deg, i)
+        terms.update((e + (deg - i,), scale * c) for e, c in f.items())
+    poly = SparsePoly._from_clean(n_space + 1, terms)
+    return MonicHypersurface(space_vars=n_space, poly=poly, degree=deg)
 
 
 def _integer_multiple(univ: Sequence[Fraction]) -> list[int]:

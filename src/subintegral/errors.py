@@ -34,12 +34,6 @@ class BudgetExceeded(ClosureError):
     code = "budget"
 
 
-class TruncationTooSmall(ClosureError):
-    """A power-series truncation order is too small to decide membership."""
-
-    code = "truncation-guard"
-
-
 class ParseError(ClosureError):
     code = "parse"
 

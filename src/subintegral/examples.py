@@ -13,12 +13,11 @@ from __future__ import annotations
 import json
 
 from .closure import i_greater, integral_closure
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, PolyIdeal
 from .newton import newton_polyhedron, rees_valuations
 from .parser import parse_ideal_text, parse_poly_text
 from .poly import monomial_string
 from .reductions import (
-    PolyIdeal,
     classify_reductions,
     core_via_colon,
     dim_i_mod_igt,

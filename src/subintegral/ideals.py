@@ -10,6 +10,7 @@ generated by the zero exponent.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import product
 
@@ -158,8 +159,6 @@ class MonomialIdeal:
     def __mul__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if other.nvars != self.nvars:
             raise DimensionMismatch("mixed variable counts")
-        if self.is_zero or other.is_zero:
-            return MonomialIdeal.zero(self.nvars)
         sums = [
             tuple(a + b for a, b in zip(g, h)) for g in self.gens for h in other.gens
         ]
@@ -284,6 +283,26 @@ class MonomialIdeal:
 
     def __repr__(self):
         return f"MonomialIdeal({self.to_string()!r})"
+
+
+class PolyIdeal(namedtuple("PolyIdeal", "nvars gens")):
+    """A finitely generated polynomial ideal, used in m-primary workflows."""
+
+    __slots__ = ()
+
+    def __new__(cls, nvars: int, gens: tuple[SparsePoly, ...]):
+        if not gens:
+            raise ValueError("PolyIdeal needs at least one generator")
+        if any(g.nvars != nvars for g in gens):
+            raise DimensionMismatch("generator lives in the wrong ring")
+        return super().__new__(cls, nvars, gens)
+
+    @classmethod
+    def from_monomial(cls, ideal: MonomialIdeal) -> "PolyIdeal":
+        return cls(ideal.nvars, tuple(ideal.generator_polys()))
+
+    def to_string(self, names=None) -> str:
+        return "(" + ", ".join(g.to_string(names) for g in self.gens) + ")"
 
 
 # -- module-level operation names ------------------------------------------------

@@ -166,7 +166,8 @@ def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
 
 
 def rees_valuations(ideal: MonomialIdeal) -> list[ReesValuation]:
-    """One monomial valuation per bounded facet, ordered by weight.
+    """One monomial valuation per bounded facet, ordered by weight as the
+    facets are.
 
     Restricted to finite-colength ideals, where the bounded facets are in
     bijection with the Rees valuations; for other monomial ideals some Rees
@@ -177,9 +178,7 @@ def rees_valuations(ideal: MonomialIdeal) -> list[ReesValuation]:
             "Rees valuations via bounded facets need a proper finite-colength ideal"
         )
     np = newton_polyhedron(ideal)
-    vals = [
+    return [
         ReesValuation(weight=f.normal, value_on_ideal=f.value)
         for f in np.bounded_facets()
     ]
-    vals.sort(key=lambda v: v.weight)
-    return vals

@@ -19,9 +19,8 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import ParseError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, PolyIdeal
 from .poly import SparsePoly
-from .reductions import PolyIdeal
 
 # Every command and the shape of its operands: I is a monomial ideal, J any
 # ideal, h a polynomial; a|b|c is a subcommand, [...] an optional trailing
@@ -75,10 +74,11 @@ def _tokenize(text: str) -> list[Token]:
         if ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start
@@ -109,13 +109,18 @@ class Request(namedtuple("Request", "command ring ideals polys subcommand")):
     __slots__ = ()
 
 
+# The two kinds of bound value, by declaration keyword: the noun that
+# messages use for them.
+_NOUNS = {"ideal": "ideal", "poly": "polynomial"}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ring: tuple[str, ...] = ()
-        self.ideal_env: dict[str, MonomialIdeal | PolyIdeal] = {}
-        self.poly_env: dict[str, SparsePoly] = {}
+        # The bound names of each kind.
+        self.env: dict[str, dict] = {kind: {} for kind in _NOUNS}
 
     # -- token helpers ----------------------------------------------------
 
@@ -155,11 +160,8 @@ class _Parser:
         if tok.text == "ring":
             self.ring_decl()
             return None
-        if tok.text == "ideal":
-            self.ideal_decl()
-            return None
-        if tok.text == "poly":
-            self.poly_decl()
+        if tok.text in _NOUNS:
+            self.binding()
             return None
         cmd = self._command_name()
         if cmd is not None:
@@ -212,53 +214,38 @@ class _Parser:
             break
         self.expect("]")
         self.ring = tuple(names)
-        self.ideal_env.clear()
-        self.poly_env.clear()
+        for bound in self.env.values():
+            bound.clear()
 
     def require_ring(self):
         if not self.ring:
             self.fail("no ring declared; start with ring QQ[...]")
 
-    def ideal_decl(self):
-        self.expect("ideal")
+    def binding(self):
+        """`ideal NAME = (generators)` or `poly NAME = expression`."""
+        kind = self.next().text
         self.require_ring()
         name = self.next()
         if name.kind != "name" or name.text in self.ring:
-            raise ParseError("expected a fresh ideal name", name.line, name.column)
+            raise ParseError(f"expected a fresh {_NOUNS[kind]} name", name.line, name.column)
         self.expect("=")
-        self.ideal_env[name.text] = self.ideal_literal()
+        self.env[kind][name.text] = self.ideal_literal() if kind == "ideal" else self.poly_expr()
 
-    def poly_decl(self):
-        self.expect("poly")
-        self.require_ring()
-        name = self.next()
-        if name.kind != "name" or name.text in self.ring:
-            raise ParseError("expected a fresh polynomial name", name.line, name.column)
-        self.expect("=")
-        self.poly_env[name.text] = self.poly_expr()
-
-    def ideal_operand(self) -> MonomialIdeal | PolyIdeal:
-        tok = self.peek()
-        if tok.text == "(":
-            self.require_ring()
-            return self.ideal_literal()
-        tok = self.next()
-        if tok.kind == "name" and tok.text in self.ideal_env:
-            return self.ideal_env[tok.text]
-        raise ParseError(f"unknown ideal {tok.text!r}", tok.line, tok.column)
-
-    def poly_operand(self) -> SparsePoly:
-        tok = self.peek()
-        if tok.text == "(":
-            self.require_ring()
-            self.expect("(")
+    def operand(self, kind: str) -> MonomialIdeal | PolyIdeal | SparsePoly:
+        """An ideal or polynomial operand of a command, whose ring is
+        declared: a parenthesized literal or a name bound to that kind."""
+        if self.peek().text == "(":
+            if kind == "ideal":
+                return self.ideal_literal()
+            self.next()
             p = self.poly_expr()
             self.expect(")")
             return p
         tok = self.next()
-        if tok.kind == "name" and tok.text in self.poly_env:
-            return self.poly_env[tok.text]
-        raise ParseError(f"unknown polynomial {tok.text!r}", tok.line, tok.column)
+        bound = self.env[kind]
+        if tok.kind == "name" and tok.text in bound:
+            return bound[tok.text]
+        raise ParseError(f"unknown {_NOUNS[kind]} {tok.text!r}", tok.line, tok.column)
 
     def ideal_literal(self) -> MonomialIdeal | PolyIdeal:
         """A parenthesized generator list; monomial generators (up to a
@@ -359,12 +346,12 @@ class _Parser:
             word = word.rstrip("]")
             if word in {"I", "J"}:
                 start = self.peek()
-                ideal = self.ideal_operand()
+                ideal = self.operand("ideal")
                 if word == "I" and not isinstance(ideal, MonomialIdeal):
                     raise ParseError(f"{cmd} needs a monomial ideal", start.line, start.column)
                 ideals.append(ideal)
             elif word == "h":
-                polys.append(self.poly_operand())
+                polys.append(self.operand("poly"))
             elif "|" in word:
                 *others, last = choices = word.split("|")
                 sub = self.next()
@@ -383,19 +370,21 @@ def parse(text: str) -> list[Request]:
     return _Parser(text).parse_program()
 
 
-def parse_ideal_text(text: str, ring: Sequence[str]) -> MonomialIdeal | PolyIdeal:
-    """Parse a standalone parenthesized ideal literal over the given ring."""
+def _parse_text(text: str, ring: Sequence[str], read):
+    """Read one standalone literal over the given ring with `read`, a
+    _Parser method, and require the end of the text after it."""
     p = _Parser(text.strip())
     p.ring = tuple(ring)
-    result = p.ideal_literal()
+    result = read(p)
     p.expect("<eof>")
     return result
+
+
+def parse_ideal_text(text: str, ring: Sequence[str]) -> MonomialIdeal | PolyIdeal:
+    """Parse a standalone parenthesized ideal literal over the given ring."""
+    return _parse_text(text, ring, _Parser.ideal_literal)
 
 
 def parse_poly_text(text: str, ring: Sequence[str]) -> SparsePoly:
     """Parse a standalone polynomial expression over the given ring."""
-    p = _Parser(text.strip())
-    p.ring = tuple(ring)
-    result = p.poly_expr()
-    p.expect("<eof>")
-    return result
+    return _parse_text(text, ring, _Parser.poly_expr)

@@ -28,37 +28,11 @@ from itertools import product
 from math import comb
 
 from .closure import facet_staircase, i_greater, integral_closure
-from .errors import (
-    BudgetExceeded,
-    DimensionMismatch,
-    PreconditionError,
-    TruncationTooSmall,
-    UnsupportedIdeal,
-)
-from .ideals import MonomialIdeal, staircase_walk
+from .errors import BudgetExceeded, DimensionMismatch, PreconditionError, UnsupportedIdeal
+from .ideals import MonomialIdeal, PolyIdeal, staircase_walk
 from .linalg import Echelon, Row, intersect_row_spaces
 from .newton import _dot, newton_polyhedron
 from .poly import Exponent, SparsePoly
-
-
-class PolyIdeal(namedtuple("PolyIdeal", "nvars gens")):
-    """A finitely generated polynomial ideal, used in m-primary workflows."""
-
-    __slots__ = ()
-
-    def __new__(cls, nvars: int, gens: tuple[SparsePoly, ...]):
-        if not gens:
-            raise ValueError("PolyIdeal needs at least one generator")
-        if any(g.nvars != nvars for g in gens):
-            raise DimensionMismatch("generator lives in the wrong ring")
-        return super().__new__(cls, nvars, gens)
-
-    @classmethod
-    def from_monomial(cls, ideal: MonomialIdeal) -> "PolyIdeal":
-        return cls(ideal.nvars, tuple(ideal.generator_polys()))
-
-    def to_string(self, names=None) -> str:
-        return "(" + ", ".join(g.to_string(names) for g in self.gens) + ")"
 
 
 def _box_monomials(nvars: int, below: int) -> list[Exponent]:
@@ -297,14 +271,10 @@ class StarOfReduction(
         return self.quotient.contains(h)
 
 
-def star_of_min_reduction(
-    J: PolyIdeal | MonomialIdeal, I: MonomialIdeal, order: int | None = None
-) -> StarOfReduction:
+def star_of_min_reduction(J: PolyIdeal | MonomialIdeal, I: MonomialIdeal) -> StarOfReduction:
     """Represent the weak subintegral closure J + i_greater(I) of a minimal
-    reduction J, with an exact membership test.
-
-    An explicit truncation `order` may only enlarge the computed one (the
-    membership argument needs m^order inside i_greater(I))."""
+    reduction J, with an exact membership test in A/m^N for the least N
+    with m^N inside i_greater(I), N = igt_truncation_order(I)."""
     if isinstance(J, MonomialIdeal):
         if len(J.gens) != I.nvars:
             raise PreconditionError("minimal reduction needs exactly n generators")
@@ -317,13 +287,7 @@ def star_of_min_reduction(
     if not I.finite_colength:
         raise UnsupportedIdeal("finite colength required")
     igt = i_greater(I)
-    minimal_order = igt_truncation_order(I)
-    if order is None:
-        order = minimal_order
-    elif order < minimal_order:
-        raise TruncationTooSmall(
-            f"truncation {order} is below the exactness order {minimal_order}"
-        )
+    order = igt_truncation_order(I)
     quotient = TruncatedQuotient(
         I.nvars, order, list(J.gens) + igt.generator_polys()
     )

@@ -1,12 +1,10 @@
 """Arc pullbacks, relative-closure membership, and the sampling refuter."""
 
-import ast
 import hashlib
 import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -534,25 +532,3 @@ class TestBasicFacts:
             assert ideal_pair_by_elimination(h, CORNER, arcs)
         assert refute_star_membership(h, CORNER, ArcSampler(seed=0, count=40)) is None
 
-
-class TestLayering:
-    # The arc layer stands on the ideals and polynomials alone: no linear
-    # algebra and no reductions.
-    def test_arcs_imports_only_errors_ideals_and_poly(self):
-        tree = ast.parse(Path(arcs_module.__file__).read_text())
-        package = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.level == 0 and (node.module or "").split(".")[0] != "subintegral":
-                    continue
-                module = (node.module or "").removeprefix("subintegral").lstrip(".")
-                if module:
-                    package.add(module.split(".")[0])
-                else:
-                    package.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[0] == "subintegral":
-                        package.add(parts[1] if len(parts) > 1 else "subintegral")
-        assert package and package <= {"errors", "ideals", "poly"}

@@ -128,6 +128,10 @@ PARSE_ERRORS = [
     (RING + "vbar (x*y +) in (x^2, y^2)", 1, 26),
     (RING + "igt (x^2, 3/x*y, y^3)", 1, 27),
     ("ring QQ[x,y]\npoly h = x*y - 2/3*x*q^2\nvbar h in (x^2, y^2)", 2, 22),
+    # a digit that int() does not read is an unexpected character
+    (RING + "vbar (x^\u00b2) in (x^2, y^2)", 1, 23),
+    # a comment advances the column of the newline and of the end
+    ("ring QQ[x,y]\nigt (x^2, y^2  # note\n", 2, 22),
 ]
 
 

@@ -1,11 +1,15 @@
 """The package keeps `dependencies = []`: importing it loads only the
-standard library."""
+standard library.  Layered modules import only the package modules below
+them."""
 
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 import subintegral
 
@@ -54,3 +58,34 @@ def test_cli_import_leaves_slow_modules_unloaded():
         capture_output=True, text=True, timeout=60, check=True,
     )
     assert json.loads(proc.stdout) == []
+
+
+# The package modules each module may import.  The arc layer and the parser
+# stand on the ideals and polynomials alone: no linear algebra and no
+# reductions.
+LAYERS = {
+    "arcs": {"errors", "ideals", "poly"},
+    "parser": {"errors", "ideals", "poly"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layering(module):
+    path = pathlib.Path(subintegral.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and (node.module or "").split(".")[0] != "subintegral":
+                continue
+            name = (node.module or "").removeprefix("subintegral").lstrip(".")
+            if name:
+                package.add(name.split(".")[0])
+            else:
+                package.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "subintegral":
+                    package.add(parts[1] if len(parts) > 1 else "subintegral")
+    assert package and package <= LAYERS[module]

@@ -57,7 +57,7 @@ RECORDS = {
         lambda: star_of_min_reduction(J, I),
     ),
     "Token": (("kind", "text", "line", "column"), lambda: Token("name", "x", 1, 9)),
-    "Options": (("seed", "budget", "trunc"), lambda: Options(seed=7, budget=3)),
+    "Options": (("seed", "budget"), lambda: Options(seed=7, budget=3)),
     "Request": (
         ("command", "ring", "ideals", "polys", "subcommand"),
         lambda: parse("ring QQ[x,y]; rrs search (x*y) in (x^2, y^2)")[0],
