@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from collections import namedtuple
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,7 +22,7 @@ from . import examples as examples_mod
 from .arcs import ArcSampler, refute_star_membership
 from .closure import i_greater, in_i_greater, in_integral_closure, integral_closure, vbar
 from .cover import from_rrs, graph_on_deep_locus, unique_deep_root_check
-from .errors import ClosureError, ParseError
+from .errors import BudgetExceeded, ClosureError, ParseError
 from .ideals import MonomialIdeal, ord_in
 from .newton import newton_polyhedron, rees_valuations
 from .parser import Request, parse
@@ -241,9 +242,11 @@ def _run_classify(req: Request, options: Options, report: dict, names) -> None:
         report["result"] = {"verdict": "NotInIntegralClosure"}
         return
     if in_i_greater(h, I):
-        system = construct_from_igt(h, I, q_max=32)
-        report["certificates"] = [_system_json(system, names)]
-        report["result"] = {"verdict": "InStarViaIGreater", "q": system.q}
+        report["result"] = {"verdict": "InStarViaIGreater"}
+        with suppress(BudgetExceeded):  # exact even with no certificate for q <= 32
+            system = construct_from_igt(h, I, q_max=32)
+            report["certificates"] = [_system_json(system, names)]
+            report["result"]["q"] = system.q
         return
     system = bounded_search(h, I, q_max=4)
     if system is not None:

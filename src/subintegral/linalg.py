@@ -34,9 +34,11 @@ class Echelon:
     """Row echelon form kept as {pivot column: row}.
 
     Each row has a leading 1 at its pivot column and entries only at
-    columns >= the pivot.  Inserting a row does no pass over the other
-    rows; the reduced form, in which no row has an entry at another row's
-    pivot, is built in place on the first read after a batch of inserts.
+    columns >= the pivot.  An insert clears the row's leading column while
+    it is a pivot and stores what is left, which leads with a new pivot;
+    it does no pass over the other rows.  The reduced form, in which no row
+    has an entry at another row's pivot, is built in place on the first
+    read after a batch of inserts.
     """
 
     def __init__(self, rows: Iterable[Row] = ()):
@@ -49,38 +51,25 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _eliminate(self, row: Row, full: bool) -> Row:
-        """The one elimination loop: clear the least pivot column present,
-        until none is left (full) or the row leads with a non-pivot column."""
+    def _eliminate(self, row: Row) -> Row:
+        """The one elimination loop: clear the leading column while it is a
+        pivot.  The residual is empty iff the row is in the span: every
+        nonzero element of the span leads with a pivot column."""
         row = _clean(row)
         pivots = self.pivots
         while row:
-            if full:
-                hits = [c for c in row if c in pivots]
-                if not hits:
-                    break
-                col = min(hits)
-            else:
-                col = min(row)
-                if col not in pivots:
-                    break
+            col = min(row)
+            if col not in pivots:
+                break
             _clear(row, col, pivots[col])
         return row
 
-    def reduce(self, row: Row) -> Row:
-        """Residual of row against the basis, with no pivot-column entries.
-        It is the same for every basis of the span, and empty iff the row
-        is in the span."""
-        return self._eliminate(row, full=True)
-
     def contains(self, row: Row) -> bool:
-        # Every nonzero element of the span leads with a pivot column, so a
-        # non-pivot leading column is an immediate miss.
-        return not self._eliminate(row, full=False)
+        return not self._eliminate(row)
 
     def add_row(self, row: Row) -> bool:
         """Insert a row; returns True when it enlarged the span."""
-        residual = self.reduce(row)
+        residual = self._eliminate(row)
         if not residual:
             return False
         lead = min(residual)
@@ -126,23 +115,21 @@ class Echelon:
 def intersect_row_spaces(rows_a: Iterable[Row], rows_b: Iterable[Row]) -> list[Row]:
     """Basis of the intersection of two row spaces (Zassenhaus block trick).
 
-    Columns are tagged (0, c) and (1, c); rows [a | a] and [b | 0] are
-    reduced together, and surviving rows with vanishing first block carry
-    the intersection in their second block.
+    Columns are tagged (0, c) and (1, c), and tag-0 columns sort first.
+    Rows [a | a] and [b | 0] go into one echelon form; the rows whose pivot
+    carries tag 1 have no tag-0 entry, and their second blocks are a basis
+    of the intersection, in pivot order.
     """
     ech = Echelon()
     for a in rows_a:
         ech.add_row({(0, c): v for c, v in a.items()} | {(1, c): v for c, v in a.items()})
     for b in rows_b:
         ech.add_row({(0, c): v for c, v in b.items()})
-    out = []
-    for row in ech.rows():
-        if any(tag == 0 for tag, _ in row):
-            continue
-        extracted = {c: v for (_, c), v in row.items()}
-        if extracted:
-            out.append(extracted)
-    return out
+    return [
+        {c: v for (_, c), v in ech.pivots[lead].items()}
+        for lead in sorted(ech.pivots)
+        if lead[0] == 1
+    ]
 
 
 def solve_sparse(

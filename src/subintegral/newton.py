@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import and_
 
 from .errors import UnsupportedIdeal
 from .ideals import MonomialIdeal
@@ -35,8 +36,9 @@ class Facet(namedtuple("Facet", "normal value bounded")):
     __slots__ = ()
 
 
-class NewtonPolyhedron(namedtuple("NewtonPolyhedron", "nvars vertices facets")):
-    """Vertices (generator exponents) and facets of NP(I), both sorted."""
+class NewtonPolyhedron(namedtuple("NewtonPolyhedron", "nvars vertices facets incidence")):
+    """Vertices (generator exponents) and facets of NP(I), both sorted, and
+    per facet the mask of the vertices on it (bit i for vertices[i])."""
 
     __slots__ = ()
 
@@ -71,10 +73,11 @@ def _primitive(vector: Sequence[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vector)
 
 
-def extreme_rays(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
-    """Extreme rays, sorted, of the dual cone {a : <c, a> >= 0 for all c},
-    where c runs over the n coordinate constraints (e_i, 0) and one
-    constraint (g, 1) per exponent g of the nonempty list `gens`.
+def extreme_rays(gens: Sequence[Exponent]) -> list[tuple[tuple[int, ...], int]]:
+    """Pairs (ray, mask), sorted, of the extreme rays of the dual cone
+    {a : <c, a> >= 0 for all c}, where c runs over the n coordinate
+    constraints (e_i, 0) and one constraint (g, 1) per exponent g of the
+    nonempty list `gens`, and the bit mask of the c tight on the ray.
 
     Constraint k is (e_k, 0) for k < n and (gens[k - n], 1) after that.
     Each ray carries its tight set Z(r), the constraints added so far on
@@ -125,7 +128,7 @@ def extreme_rays(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
                 ray = _primitive([vals[rp] * a - vals[rm] * b for a, b in zip(rm, rp)])
                 new_rays[ray] = common | bit
         rays = new_rays
-    return sorted(rays)
+    return sorted(rays.items())
 
 
 # -- public operations ---------------------------------------------------------
@@ -135,34 +138,33 @@ def extreme_rays(gens: Sequence[Exponent]) -> list[tuple[int, ...]]:
 def newton_polyhedron(ideal: MonomialIdeal) -> NewtonPolyhedron:
     """NP(I), built once per ideal: the result is immutable, so every
     caller (Rees valuations, reductions, closures) shares one run of
-    double description.
+    double description.  Ray order sorts the facets, no two sharing a
+    normal, and the rays' masks give the generators on each facet.
 
     A generator g is a vertex iff no other generator is tight on every facet
-    tight at g.  Those facets cut out F, the least face holding g, and F is
-    the hull of the generators on it plus the cone of the axis directions
-    along which it recedes.  If g is the only generator on F, then F is g
-    plus a cone of axis directions, so {g} is a face of NP inside F, and
-    F = {g} because F is least.
+    tight at g: iff the AND of those facets' generator masks is g's bit.
+    Those facets cut out F, the least face holding g, and F is the hull of
+    the generators on it plus the cone of the axis directions along which
+    it recedes.  If g is the only generator on F, then F is g plus a cone
+    of axis directions, so {g} is a face of NP inside F, and F = {g}
+    because F is least.  Generators, hence vertices, are in lex order.
     """
     if ideal.is_zero:
         raise UnsupportedIdeal("the zero ideal has no Newton polyhedron")
-    n = ideal.nvars
-    facets: list[Facet] = []
-    for ray in extreme_rays(ideal.gens):
-        w, last = ray[:n], ray[n]
-        if not any(w):
-            continue  # homogenization artifact (the trivial inequality)
-        facets.append(Facet(normal=w, value=-last, bounded=all(x > 0 for x in w)))
-    facets.sort(key=lambda f: (f.normal, f.value))
-
-    vertices = []
-    for g in ideal.gens:
-        tight = [f for f in facets if _dot(f.normal, g) == f.value]
-        if not any(
-            h != g and all(_dot(f.normal, h) == f.value for f in tight) for h in ideal.gens
-        ):
-            vertices.append(g)
-    return NewtonPolyhedron(nvars=n, vertices=tuple(sorted(vertices)), facets=tuple(facets))
+    n, gens = ideal.nvars, ideal.gens
+    facets, on_facet = [], []  # on_facet: generator masks, bit k for gens[k]
+    for ray, tight in extreme_rays(gens):
+        w = ray[:n]
+        if any(w):  # else the homogenization artifact (the trivial inequality)
+            facets.append(Facet(normal=w, value=-ray[n], bounded=all(x > 0 for x in w)))
+            on_facet.append(tight >> n)
+    every = (1 << len(gens)) - 1
+    vertices = [
+        k for k in range(len(gens))
+        if reduce(and_, (m for m in on_facet if m >> k & 1), every) == 1 << k
+    ]
+    incidence = tuple(sum(1 << i for i, k in enumerate(vertices) if m >> k & 1) for m in on_facet)
+    return NewtonPolyhedron(n, tuple(gens[k] for k in vertices), tuple(facets), incidence)
 
 
 def rees_valuations(ideal: MonomialIdeal) -> list[ReesValuation]:

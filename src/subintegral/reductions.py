@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -31,7 +30,7 @@ from .closure import facet_staircase, i_greater, integral_closure
 from .errors import BudgetExceeded, DimensionMismatch, PreconditionError, UnsupportedIdeal
 from .ideals import MonomialIdeal, PolyIdeal, staircase_walk
 from .linalg import Echelon, Row, intersect_row_spaces
-from .newton import _dot, newton_polyhedron
+from .newton import newton_polyhedron
 from .poly import Exponent, SparsePoly
 
 
@@ -48,23 +47,15 @@ def _box_monomials(nvars: int, below: int) -> list[Exponent]:
 
 class TruncatedQuotient:
     """Row space of an ideal's image in A/m^N over the standard monomials
-    of degree < N, kept in reduced echelon form over the rationals."""
+    of degree < N, kept in echelon form over the rationals: the rows are
+    the truncated shifts x^e g of the generators g, for every |e| < N."""
 
-    def __init__(
-        self,
-        nvars: int,
-        order: int,
-        generators: Iterable[SparsePoly] = (),
-        rows: Iterable[Row] | None = None,
-    ):
+    def __init__(self, nvars: int, order: int, generators: Iterable[SparsePoly]):
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         self.nvars = nvars
         self.order = order
         self.echelon = Echelon()
-        if rows is not None:
-            for row in rows:
-                self.echelon.add_row(dict(row))
         box = _box_monomials(nvars, order)
         for g in generators:
             if g.nvars != nvars:
@@ -75,12 +66,13 @@ class TruncatedQuotient:
                     self.echelon.add_row(shifted)
 
     def _truncate_shift(self, g: SparsePoly, shift: Exponent) -> Row:
+        # Distinct exponents of g shift to distinct exponents, each once.
         row: Row = {}
         for exp, coeff in g.items():
             total = tuple(a + b for a, b in zip(exp, shift))
             if sum(total) < self.order:
-                row[total] = row.get(total, Fraction(0)) + coeff
-        return {k: v for k, v in row.items() if v != 0}
+                row[total] = coeff
+        return row
 
     def truncate(self, f: SparsePoly) -> Row:
         return self._truncate_shift(f, (0,) * self.nvars)
@@ -143,12 +135,10 @@ def multiplicity(I: MonomialIdeal) -> int:
     if I.is_zero or I.is_unit or not I.finite_colength:
         raise UnsupportedIdeal("multiplicity needs a proper finite-colength ideal")
     np = newton_polyhedron(I)
-    tight = [[_dot(f.normal, v) == f.value for v in np.vertices] for f in np.facets]
-    masks = [sum(1 << i for i, t in enumerate(row) if t) for row in tight]
     return sum(
         abs(_det([v for i, v in enumerate(np.vertices) if simplex >> i & 1]))
-        for f, mask in zip(np.facets, masks) if f.bounded
-        for simplex in _pulling(mask, masks)
+        for f, mask in zip(np.facets, np.incidence) if f.bounded
+        for simplex in _pulling(mask, np.incidence)
     )
 
 
@@ -353,10 +343,15 @@ def intersect_star_two(
     J1: PolyIdeal, J2: PolyIdeal, I: MonomialIdeal
 ) -> TruncatedQuotient:
     """Exact echelon basis of (J1 + i_greater(I)) intersect (J2 + i_greater(I))
-    in degrees below the i_greater truncation order."""
+    in degrees below the i_greater truncation order.
+
+    The intersection is an ideal that contains m^N, so the truncated shifts
+    of a basis of its image in A/m^N span that image again."""
     star1 = star_of_min_reduction(J1, I)
     star2 = star_of_min_reduction(J2, I)
     rows = intersect_row_spaces(
         star1.quotient.echelon.rows(), star2.quotient.echelon.rows()
     )
-    return TruncatedQuotient(I.nvars, star1.order, rows=rows)
+    return TruncatedQuotient(
+        I.nvars, star1.order, [SparsePoly(I.nvars, row) for row in rows]
+    )

@@ -3,8 +3,10 @@
 Each oracle recomputes a quantity by a different algorithm than the library
 path it checks: bounded facets and vertices by a 2D hull sweep, and all
 facets by 3D plane enumeration with vertices from the rank of the facets
-tight at each generator, instead of double description; integral-closure
-membership by brute-force Minkowski sums instead of facet inequalities;
+tight at each generator, instead of double description; vertices by dot
+products of every generator with the facets instead of the tight masks of
+the rays; dim I/I_> by counting the generators on a bounded facet instead
+of the lattice points of the facets; integral-closure membership by brute-force Minkowski sums instead of facet inequalities;
 the integral closure, i_greater, their truncation order and the colength
 by testing every point of the axis-degree box instead of walking the
 staircase; ideal orders by explicit power chains instead of
@@ -129,6 +131,31 @@ def vertices_3d_brute(gens):
         for g in gens
         if _rank3([w for w, v in facets if sum(a * b for a, b in zip(w, g)) == v]) == 3
     }
+
+
+def vertices_by_tight_facets(gens, facets):
+    """Generators g, in lex order, such that no other generator is tight on
+    every facet (normal, value) tight at g, by dot products."""
+    def tight(g):
+        return [(w, v) for w, v in facets if sum(a * b for a, b in zip(w, g)) == v]
+
+    return tuple(
+        g
+        for g in sorted(gens)
+        if not any(
+            h != g and all(sum(a * b for a, b in zip(w, h)) == v for w, v in tight(g))
+            for h in gens
+        )
+    )
+
+
+def dim_by_facet_generators(ideal):
+    """dim I/I_> as the number of generators tight on some bounded facet
+    (Rees valuation), by dot products."""
+    vals = rees_valuations(ideal)
+    return sum(
+        any(v.value_of_exponent(g) == v.value_on_ideal for v in vals) for g in ideal.gens
+    )
 
 
 def _rank3(vectors):

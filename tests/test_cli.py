@@ -299,6 +299,23 @@ class TestMainEntry:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"]["code"] == "unsupported-input"
 
+    def test_classify_i_greater_verdict_past_certificate_budget(self, capsys):
+        # x^30*y^2 lies in I_> of (x^31, y^31), but its least certificate
+        # window is q = 46, past classify's q <= 32: the verdict stands alone.
+        program = "ring QQ[x,y]; classify (x^30*y^2) in (x^31, y^31)"
+        assert main(["--json", "-c", program]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["result"] == {"verdict": "InStarViaIGreater"}
+        assert "certificates" not in payload and "error" not in payload
+
+    def test_rrs_certify_keeps_its_budget_error(self, capsys):
+        program = "ring QQ[x,y]; rrs certify (x^30*y^2) in (x^31, y^31)"
+        assert main(["--json", "-c", program]) == 1
+        assert json.loads(capsys.readouterr().out)["error"]["code"] == "budget"
+        assert main(["--json", "--budget", "46", "-c", program]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["q"] == 46 and result["verified"] is True
+
     def test_large_axis_degrees(self, capsys):
         """iclose and igt of (x^1000, x*y, y^1000) against the staircase of
         the hull sweep's facets: per x-exponent i the least y-exponent j with

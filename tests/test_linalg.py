@@ -98,7 +98,6 @@ def test_contains_matches_rank_test(m, data):
     for v in (combination, probe):
         expected = rank(rows + [v], ncols) == rank(rows, ncols)
         assert ech.contains(v) == expected
-        assert (not ech.reduce(v)) == expected
 
 
 def sympy_solution(rows, rhs, ncols):

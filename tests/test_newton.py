@@ -9,6 +9,7 @@ from subintegral import (
     MonomialIdeal,
     UnsupportedIdeal,
     linalg,
+    multiplicity,
     newton,
     newton_polyhedron,
     rees_valuations,
@@ -16,9 +17,11 @@ from subintegral import (
 
 from oracles import (
     bounded_facets_2d_sweep,
+    multiplicity_by_hilbert_samuel,
     random_monomial_ideal,
     vertices_2d_sweep,
     vertices_3d_brute,
+    vertices_by_tight_facets,
 )
 
 
@@ -86,6 +89,44 @@ class TestNewtonPolyhedron:
             ideal((3, 0, 0, 0), (0, 4, 0, 0), (0, 0, 2, 0), (0, 0, 0, 5), (1, 1, 1, 1)),
         ):
             assert newton_polyhedron(I).bounded_facets()
+
+
+class TestIncidence:
+    def test_matches_dot_products_on_random_ideals(self):
+        # Vertices and vertex masks from the rays' tight sets agree with dot
+        # products, and the multiplicity read from them with Hilbert-Samuel.
+        rng = random.Random(29)
+        for nvars, count, max_exp in ((2, 40, 6), (3, 30, 4), (4, 15, 3), (5, 6, 2)):
+            for _ in range(count):
+                I = random_monomial_ideal(rng, nvars, max_exp=max_exp, extra=rng.randint(1, 4))
+                np = newton_polyhedron(I)
+                facets = [(f.normal, f.value) for f in np.facets]
+                assert np.vertices == vertices_by_tight_facets(I.gens, facets)
+                assert np.incidence == tuple(
+                    sum(
+                        1 << i
+                        for i, v in enumerate(np.vertices)
+                        if sum(a * b for a, b in zip(w, v)) == value
+                    )
+                    for w, value in facets
+                )
+                assert multiplicity(I) == multiplicity_by_hilbert_samuel(I)
+
+    def test_no_dot_products_past_double_description(self, monkeypatch):
+        I = MonomialIdeal(4, [(3, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 2)]).power(3)
+        rays = newton.extreme_rays(I.gens)
+        calls = []
+
+        def counting_dot(a, b):
+            calls.append(1)
+            return sum(x * y for x, y in zip(a, b))
+
+        monkeypatch.setattr(newton, "extreme_rays", lambda gens: rays)
+        monkeypatch.setattr(newton, "_dot", counting_dot)
+        newton.newton_polyhedron.cache_clear()
+        assert multiplicity(I) == 3 * 2 * 3 * 2 * 3**4
+        assert not calls
+        newton.newton_polyhedron.cache_clear()
 
 
 class TestReesValuations:

@@ -60,11 +60,12 @@ def test_cli_import_leaves_slow_modules_unloaded():
     assert json.loads(proc.stdout) == []
 
 
-# The package modules each module may import.  The arc layer and the parser
-# stand on the ideals and polynomials alone: no linear algebra and no
-# reductions.
+# The package modules each module may import.  The arc layer, double
+# description and the parser stand on the ideals and polynomials alone: no
+# linear algebra and no reductions.
 LAYERS = {
     "arcs": {"errors", "ideals", "poly"},
+    "newton": {"errors", "ideals", "poly"},
     "parser": {"errors", "ideals", "poly"},
 }
 

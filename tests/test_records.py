@@ -38,7 +38,7 @@ PAIR = ArcPair(t_arc(1, 1), t_arc(1, -1))
 RECORDS = {
     "Facet": (("normal", "value", "bounded"), lambda: Facet((3, 2), 6, True)),
     "NewtonPolyhedron": (
-        ("nvars", "vertices", "facets"),
+        ("nvars", "vertices", "facets", "incidence"),
         lambda: NewtonPolyhedron(*newton_polyhedron(I)),
     ),
     "ReesValuation": (("weight", "value_on_ideal"), lambda: ReesValuation((3, 2), 6)),

@@ -27,7 +27,7 @@ from subintegral import newton
 from subintegral.poly import SparsePoly
 from subintegral.reductions import TruncatedQuotient
 
-from oracles import random_monomial_ideal
+from oracles import dim_by_facet_generators, random_monomial_ideal
 
 
 def ideal(*exps):
@@ -230,6 +230,13 @@ class TestDimAndClassification:
             n = rng.choice([2, 3])
             I = random_monomial_ideal(rng, n, max_exp=4)
             assert dim_i_mod_igt(I) >= n
+
+    def test_dimension_counts_generators_on_bounded_facets(self):
+        rng = random.Random(83)
+        for nvars, count, max_exp in ((2, 60, 8), (3, 40, 5), (4, 20, 3)):
+            for _ in range(count):
+                I = random_monomial_ideal(rng, nvars, max_exp=max_exp, extra=rng.randint(1, 4))
+                assert dim_i_mod_igt(I) == dim_by_facet_generators(I), I.to_string()
 
     def test_classification_of_worked_examples(self):
         assert (
